@@ -14,6 +14,7 @@ from .core import (
     MonomialTerm,
     PoleTerm,
     RationalFunctionSpec,
+    collect,
     decompose,
     decompose_batch,
     decompose_proper,
@@ -52,7 +53,6 @@ from .output import (
     OutputFormat,
     StreamBuffer,
     StreamWriteError,
-    collect,
     render_expr,
     serialize,
     term_chunks,

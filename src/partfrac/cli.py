@@ -13,6 +13,7 @@ Exit status: 0 success, 1 usage or input error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from typing import Sequence
 
@@ -183,18 +184,24 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 1
 
     d = decompose(spec)
-    fmt = OutputFormat(mode=ns.format, expand_coefficients=ns.expand)
+    # Rendered once; the same chunks go to the file and then to stdout.
+    # Under --quiet they stream to the file and are never held whole.
+    chunks = itertools.chain(
+        term_chunks(d, OutputFormat(mode=ns.format, expand_coefficients=ns.expand)),
+        ["\n"] if ns.format == "infix" else [],
+    )
+    if not ns.quiet:
+        chunks = list(chunks)
 
     try:
         with open(ns.output, "wb") as sink:
-            buffer = StreamBuffer(capacity=ns.buffer_capacity)
-            write_streaming(_payload_chunks(d, fmt), sink, buffer)
+            write_streaming(chunks, sink, StreamBuffer(capacity=ns.buffer_capacity))
     except (OSError, StreamWriteError) as err:
         print(f"partfrac: error: cannot write {ns.output!r}: {err}", file=sys.stderr)
         return 1
 
     if not ns.quiet:
-        sys.stdout.write("".join(_payload_chunks(d, fmt)))
+        sys.stdout.write("".join(chunks))
         sys.stdout.flush()
 
     if ns.verify is not None:
@@ -208,13 +215,6 @@ def run(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
     return 0
-
-
-def _payload_chunks(d, fmt: OutputFormat):
-    trailing = "\n" if fmt.mode == "infix" else ""
-    yield from term_chunks(d, fmt)
-    if trailing:
-        yield trailing
 
 
 def main() -> None:

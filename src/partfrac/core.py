@@ -7,7 +7,8 @@ residue formula whose derivatives have been expanded into a sum over weak
 compositions weighted by binomial coefficients, so no symbolic
 differentiation is ever performed.  Improper inputs are first split into a
 monomial times a proper fraction, decomposed, and finished with a symbolic
-polynomial division of each x^p / (x - a)^q piece.
+polynomial division of each x^p / (x - a)^q piece.  Each route produces
+raw terms and hands them to :func:`collect`, the package's one merge.
 
 Everything here is pure and immutable: decompositions are value objects and
 the same input always yields byte-identical output downstream.
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .combinatorics import binomial, compositions
-from .expr import ZERO, Constant, Expr, expand, product_of, sum_of
+from .expr import ONE, ZERO, Constant, Expr, Power, Product, Sum, expand, product_of, sum_of
 
 __all__ = [
     "DuplicateRootError",
@@ -33,6 +34,7 @@ __all__ = [
     "poly_div",
     "decompose",
     "decompose_batch",
+    "collect",
 ]
 
 
@@ -54,8 +56,11 @@ class RationalFunctionSpec:
     """The input x^l * prod_k (x - root_k)^(-mult_k).
 
     ``factors`` is an ordered sequence of (root, multiplicity) pairs.  Roots
-    must be canonical expressions, pairwise distinct under structural
-    equality after :func:`~partfrac.expr.expand`.
+    must be canonical expressions with no zero divisor, pairwise distinct as
+    rational functions of their symbols.  Each root is brought to expanded
+    numerator/denominator polynomials once; a pair with equal denominators
+    (every pair of polynomial roots) compares numerators, any other pair
+    expands its cross-multiplied difference.
     """
 
     numerator_degree: int
@@ -74,10 +79,21 @@ class RationalFunctionSpec:
                 raise TypeError(f"root must be an Expr, got {type(root).__name__}")
             if mult < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {mult}")
-        expanded = [expand(root) for root, _ in self.factors]
-        for i in range(len(expanded)):
-            for k in range(i + 1, len(expanded)):
-                if expanded[i] == expanded[k]:
+        fractions = []
+        for idx, root in enumerate(self.roots, start=1):
+            try:
+                n, d = _numerator_denominator(root)
+            except ZeroDivisionError:
+                raise ValueError(f"root {idx} is undefined: it divides by zero") from None
+            fractions.append((expand(n), expand(d)))
+        for i in range(len(fractions)):
+            for k in range(i + 1, len(fractions)):
+                (n_i, d_i), (n_k, d_k) = fractions[i], fractions[k]
+                if d_i == d_k:  # expand is canonical: compare the numerators
+                    same = n_i == n_k
+                else:
+                    same = expand(n_i * d_k - n_k * d_i) == ZERO
+                if same:
                     raise DuplicateRootError(i, k, self.factors[i][0])
 
     @property
@@ -95,6 +111,32 @@ class RationalFunctionSpec:
     @property
     def is_proper(self) -> bool:
         return self.numerator_degree < self.denominator_degree
+
+
+def _numerator_denominator(e: Expr) -> tuple[Expr, Expr]:
+    """Polynomials (n, d) with e == n / d; d is ONE when e has no negative
+    power.  Expanding n_i*d_k - n_k*d_i then decides e_i == e_k exactly.
+    Raises ZeroDivisionError when a base raised to a negative power expands
+    to zero, at any depth."""
+    if isinstance(e, Power):
+        n, d = _numerator_denominator(e.base)
+        k = e.exponent
+        if k > 0:
+            return n**k, d**k
+        if expand(n) == ZERO:
+            raise ZeroDivisionError(f"{e.base} is zero")
+        return d**-k, n**-k
+    if isinstance(e, Product):
+        parts = [_numerator_denominator(f) for f in e.factors]
+        return product_of(n for n, _ in parts), product_of(d for _, d in parts)
+    if isinstance(e, Sum):
+        parts = [_numerator_denominator(t) for t in e.terms]
+        dens = [d for _, d in parts]
+        numerator = sum_of(
+            product_of([n, *dens[:j], *dens[j + 1:]]) for j, (n, _) in enumerate(parts)
+        )
+        return numerator, product_of(dens)
+    return e, ONE
 
 
 @dataclass(frozen=True)
@@ -181,15 +223,8 @@ def _proper_contributions(spec: RationalFunctionSpec) -> Iterator[tuple[int, int
 
 def decompose_proper(spec: RationalFunctionSpec) -> Decomposition:
     """Decompose a proper input; all output terms are poles."""
-    acc: dict[tuple[int, int], list[Expr]] = {}
-    for i, order, coefficient in proper_contributions(spec):
-        acc.setdefault((i, order), []).append(coefficient)
-    poles = []
-    for key in sorted(acc):
-        total = sum_of(acc[key])
-        if total != ZERO:
-            poles.append(PoleTerm(key[0], key[1], total))
-    return Decomposition(roots=spec.roots, monomials=(), poles=tuple(poles))
+    poles = [PoleTerm(i, order, c) for i, order, c in proper_contributions(spec)]
+    return collect(Decomposition(roots=spec.roots, monomials=(), poles=poles))
 
 
 def poly_div(coefficient: Expr, p: int, q: int, root: Expr) -> Decomposition:
@@ -231,19 +266,13 @@ def decompose(spec: RationalFunctionSpec) -> Decomposition:
     m = spec.denominator_degree
     p = spec.numerator_degree - (m - 1)
     base = decompose_proper(replace(spec, numerator_degree=m - 1))
-    mono_acc: dict[int, list[Expr]] = {}
-    pole_acc: dict[tuple[int, int], list[Expr]] = {}
+    monomials: list[MonomialTerm] = []
+    poles: list[PoleTerm] = []
     for term in base.poles:
         fragment = poly_div(term.coefficient, p, term.order, spec.roots[term.pole_index])
-        for mono in fragment.monomials:
-            mono_acc.setdefault(mono.degree, []).append(mono.coefficient)
-        for pole in fragment.poles:
-            pole_acc.setdefault((term.pole_index, pole.order), []).append(pole.coefficient)
-    return Decomposition(
-        roots=spec.roots,
-        monomials=_merged_monomials(mono_acc),
-        poles=_merged_poles(pole_acc),
-    )
+        monomials.extend(fragment.monomials)
+        poles.extend(replace(pole, pole_index=term.pole_index) for pole in fragment.poles)
+    return collect(Decomposition(roots=spec.roots, monomials=monomials, poles=poles))
 
 
 def decompose_batch(
@@ -255,41 +284,38 @@ def decompose_batch(
     terms by degree; weights must not involve the decomposition variable.
     Cancelled terms disappear entirely.
     """
-    roots: list[Expr] = []
-    index: dict[Expr, int] = {}
-    mono_acc: dict[int, list[Expr]] = {}
-    pole_acc: dict[tuple[int, int], list[Expr]] = {}
+    index: dict[Expr, int] = {}  # root -> position, in order of first use
+    monomials: list[MonomialTerm] = []
+    poles: list[PoleTerm] = []
     for weight, spec in terms:
         d = decompose(spec)
         for mono in d.monomials:
-            mono_acc.setdefault(mono.degree, []).append(weight * mono.coefficient)
+            monomials.append(MonomialTerm(mono.degree, weight * mono.coefficient))
         for pole in d.poles:
-            root = d.roots[pole.pole_index]
-            pos = index.get(root)
-            if pos is None:
-                pos = index[root] = len(roots)
-                roots.append(root)
-            pole_acc.setdefault((pos, pole.order), []).append(weight * pole.coefficient)
-    return Decomposition(
-        roots=tuple(roots),
-        monomials=_merged_monomials(mono_acc),
-        poles=_merged_poles(pole_acc),
-    )
+            pos = index.setdefault(d.roots[pole.pole_index], len(index))
+            poles.append(PoleTerm(pos, pole.order, weight * pole.coefficient))
+    return collect(Decomposition(roots=tuple(index), monomials=monomials, poles=poles))
 
 
-def _merged_monomials(acc: dict[int, list[Expr]]) -> tuple[MonomialTerm, ...]:
-    out = []
-    for degree in sorted(acc):
-        total = sum_of(acc[degree])
+def collect(d: Decomposition) -> Decomposition:
+    """Merge terms sharing a degree or a (pole, order) pair: coefficients are
+    summed into canonical form, exact zeros dropped and keys sorted.
+    Idempotent.  Every merge in the package goes through here.
+    """
+    mono_acc: dict[int, list[Expr]] = {}
+    for mono in d.monomials:
+        mono_acc.setdefault(mono.degree, []).append(mono.coefficient)
+    pole_acc: dict[tuple[int, int], list[Expr]] = {}
+    for pole in d.poles:
+        pole_acc.setdefault((pole.pole_index, pole.order), []).append(pole.coefficient)
+    monomials = []
+    for degree in sorted(mono_acc):
+        total = sum_of(mono_acc[degree])
         if total != ZERO:
-            out.append(MonomialTerm(degree, total))
-    return tuple(out)
-
-
-def _merged_poles(acc: dict[tuple[int, int], list[Expr]]) -> tuple[PoleTerm, ...]:
-    out = []
-    for key in sorted(acc):
-        total = sum_of(acc[key])
+            monomials.append(MonomialTerm(degree, total))
+    poles = []
+    for key in sorted(pole_acc):
+        total = sum_of(pole_acc[key])
         if total != ZERO:
-            out.append(PoleTerm(key[0], key[1], total))
-    return tuple(out)
+            poles.append(PoleTerm(key[0], key[1], total))
+    return Decomposition(d.roots, tuple(monomials), tuple(poles))

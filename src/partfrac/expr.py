@@ -16,6 +16,9 @@ by "the same expression".  Arithmetic operators on Expr values canonicalize
 eagerly, so ``a - a`` is literally the constant zero.  Trees assembled by
 calling the node constructors directly are *raw* and must go through
 :func:`canonicalize` first.
+
+The text form of an expression belongs to :mod:`partfrac.output`;
+``str(e)`` is :func:`partfrac.output.render_expr`.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "canonicalize",
     "evaluate",
     "expand",
-    "render_expr",
     "sum_of",
     "product_of",
     "symbols",
@@ -112,6 +114,8 @@ class Expr:
         return _make_power(self, exponent)
 
     def __str__(self) -> str:
+        from .output import render_expr  # output imports this module
+
         return render_expr(self)
 
 
@@ -388,83 +392,6 @@ def _distribute(u: Expr, v: Expr) -> Expr:
     uts = u.terms if isinstance(u, Sum) else (u,)
     vts = v.terms if isinstance(v, Sum) else (v,)
     return _make_sum([_make_product([a, b]) for a in uts for b in vts])
-
-
-# --- infix rendering ---------------------------------------------------------
-#
-# The text form is part of the package's output contract: deterministic,
-# ASCII, and re-parseable into the identical canonical expression.
-
-
-def _render_fraction(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
-def _render_power(e: Power) -> str:
-    base = e.base
-    base_s = base.name if isinstance(base, Symbol) else f"({_render_sum_level(base)})"
-    exp_s = str(e.exponent) if e.exponent >= 0 else f"({e.exponent})"
-    return f"{base_s}^{exp_s}"
-
-
-def _render_factor(e: Expr) -> str:
-    """Render for use inside a '*'-joined product."""
-    if isinstance(e, Constant):
-        v = e.value
-        if v.denominator == 1 and v >= 0:
-            return str(v.numerator)
-        return f"({_render_fraction(v)})"
-    if isinstance(e, Symbol):
-        return e.name
-    if isinstance(e, Power):
-        return _render_power(e)
-    if isinstance(e, Sum):
-        return f"({_render_sum_level(e)})"
-    return "*".join(_render_factor(f) for f in e.factors)
-
-
-def _render_term(e: Expr) -> str:
-    """Render a non-Sum term for use inside a ' + '-joined sum."""
-    if isinstance(e, Constant):
-        return _render_fraction(e.value)
-    if isinstance(e, Product):
-        return "*".join(_render_factor(f) for f in e.factors)
-    return _render_factor(e)
-
-
-def _sign_split(e: Expr) -> tuple[bool, Expr]:
-    """Split a leading negative rational off a term: -3*a -> (True, 3*a)."""
-    if isinstance(e, Constant) and e.value < 0:
-        return True, Constant(-e.value)
-    if isinstance(e, Product):
-        head = e.factors[0]
-        if isinstance(head, Constant) and head.value < 0:
-            rest = e.factors[1:]
-            if head.value == -1:
-                return True, rest[0] if len(rest) == 1 else Product(rest)
-            return True, Product((Constant(-head.value),) + rest)
-    return False, e
-
-
-def _render_sum_level(e: Expr) -> str:
-    if not isinstance(e, Sum):
-        negative, magnitude = _sign_split(e)
-        body = _render_term(magnitude)
-        return f"-{body}" if negative else body
-    pieces = []
-    for i, t in enumerate(e.terms):
-        negative, magnitude = _sign_split(t)
-        body = _render_term(magnitude)
-        if i == 0:
-            pieces.append(f"-{body}" if negative else body)
-        else:
-            pieces.append(f" - {body}" if negative else f" + {body}")
-    return "".join(pieces)
-
-
-def render_expr(e: Expr) -> str:
-    """Deterministic infix text; parses back to the same canonical Expr."""
-    return _render_sum_level(e)
 
 
 def symbols_in(e: Expr) -> frozenset[str]:

@@ -128,7 +128,19 @@ def oracle_decompose(
     l: int, roots: Sequence[Fraction], mults: Sequence[int]
 ) -> Decomposition:
     """Decompose x^l / prod (x - roots[i])^mults[i] for rational roots by
-    undetermined coefficients.  Requires a proper input (l < sum(mults)).
+    undetermined coefficients.  Requires a proper input (0 <= l < sum(mults)).
+    """
+    if l < 0:
+        raise ValueError(f"need l >= 0, got l={l}")
+    return _oracle_proper(DensePolynomial.monomial(l), roots, mults)
+
+
+def _oracle_proper(
+    numerator: DensePolynomial, roots: Sequence[Fraction], mults: Sequence[int]
+) -> Decomposition:
+    """Decompose numerator(x) / prod (x - roots[i])^mults[i], numerator of
+    degree < sum(mults), with one linear solve whose right-hand side is the
+    numerator's coefficient vector.
     """
     roots = [Fraction(r) for r in roots]
     if len(roots) != len(mults):
@@ -138,8 +150,8 @@ def oracle_decompose(
     if any(m < 1 for m in mults):
         raise ValueError("multiplicities must be >= 1")
     m = sum(mults)
-    if not 0 <= l < m:
-        raise ValueError(f"need 0 <= l < {m}, got l={l}")
+    if numerator.degree >= m:
+        raise ValueError(f"need numerator degree < {m}, got {numerator.degree}")
 
     # One basis polynomial per unknown c_ij: Q(x) / (x - a_i)^j.
     columns: list[tuple[int, int, DensePolynomial]] = []
@@ -157,7 +169,7 @@ def oracle_decompose(
             columns.append((i, j, basis))
 
     matrix = [[col.coefficient(row) for _, _, col in columns] for row in range(m)]
-    rhs = [Fraction(1) if row == l else Fraction(0) for row in range(m)]
+    rhs = [numerator.coefficient(row) for row in range(m)]
     try:
         solution = _solve_exact(matrix, rhs)
     except ArithmeticError as exc:  # cannot happen for distinct roots
@@ -303,8 +315,9 @@ def check_by_substitution(
 
 def compare_with_oracle(spec: RationalFunctionSpec, d: Decomposition) -> str | None:
     """Exact term-for-term comparison against the undetermined-coefficients
-    oracle.  Requires all-rational roots; improper inputs are handled with
-    classical dense long division, so no step shares code with the
+    oracle.  Requires all-rational roots.  Classical dense long division
+    splits off the quotient (empty for proper inputs) and the remainder is
+    decomposed with one linear solve, so no step shares code with the
     closed-formula engine.  Returns None on agreement, else a mismatch
     description.
     """
@@ -314,30 +327,18 @@ def compare_with_oracle(spec: RationalFunctionSpec, d: Decomposition) -> str | N
     mults = list(spec.multiplicities)
     l = spec.numerator_degree
 
-    want_monomials: dict[int, Fraction] = {}
-    want_poles: dict[tuple[int, int], Fraction] = {}
-    if spec.is_proper:
-        for p in oracle_decompose(l, roots, mults).poles:
-            want_poles[(p.pole_index, p.order)] = p.coefficient.value
-    else:
-        denominator = DensePolynomial((Fraction(1),))
-        for root, mult in zip(roots, mults):
-            for _ in range(mult):
-                denominator = denominator * DensePolynomial.linear_factor(root)
-        quotient, remainder = divmod(DensePolynomial.monomial(l), denominator)
-        for degree, coeff in enumerate(quotient.coefficients):
-            if coeff != 0:
-                want_monomials[degree] = coeff
-        for degree, coeff in enumerate(remainder.coefficients):
-            if coeff == 0:
-                continue
-            for p in oracle_decompose(degree, roots, mults).poles:
-                key = (p.pole_index, p.order)
-                total = want_poles.get(key, Fraction(0)) + coeff * p.coefficient.value
-                if total == 0:
-                    want_poles.pop(key, None)
-                else:
-                    want_poles[key] = total
+    denominator = DensePolynomial((Fraction(1),))
+    for root, mult in zip(roots, mults):
+        for _ in range(mult):
+            denominator = denominator * DensePolynomial.linear_factor(root)
+    quotient, remainder = divmod(DensePolynomial.monomial(l), denominator)
+    want_monomials = {
+        degree: coeff for degree, coeff in enumerate(quotient.coefficients) if coeff != 0
+    }
+    want_poles = {
+        (p.pole_index, p.order): p.coefficient.value
+        for p in _oracle_proper(remainder, roots, mults).poles
+    }
 
     for term in (*d.monomials, *d.poles):
         if not isinstance(term.coefficient, Constant):

@@ -1,6 +1,9 @@
-"""Collection, deterministic serialization, and buffered streaming output.
+"""All text output: the infix grammar of expressions, deterministic
+serialization of decompositions, and buffered streaming.
 
-Two text modes are supported:
+:func:`render_expr` writes one expression in the infix grammar, which the
+package's own parser reads back to the same canonical Expr.  Decompositions
+are rendered in two text modes:
 
 * ``infix`` — a single expression like
   ``(1/2)*(x + 1)^(-1) - (x + 2)^(-1) + (1/2)*(x + 3)^(-1)``, valid input for
@@ -23,25 +26,12 @@ from fractions import Fraction
 from typing import BinaryIO, Iterable, Iterator
 
 from .core import Decomposition, MonomialTerm, PoleTerm
-from .expr import (
-    ZERO,
-    Constant,
-    Expr,
-    Sum,
-    _render_factor,
-    _render_sum_level,
-    _render_term,
-    _sign_split,
-    expand,
-    render_expr,
-    sum_of,
-)
+from .expr import ONE, ZERO, Constant, Expr, Power, Product, Sum, Symbol, expand
 
 __all__ = [
     "OutputFormat",
     "StreamBuffer",
     "StreamWriteError",
-    "collect",
     "render_expr",
     "term_chunks",
     "serialize",
@@ -62,59 +52,105 @@ class OutputFormat:
             raise ValueError(f"unknown output mode {self.mode!r}")
 
 
-def collect(d: Decomposition) -> Decomposition:
-    """Merge terms sharing a (pole, order) pair or a degree; sums of
-    coefficients are canonicalized and exact zeros dropped.  Idempotent.
-    """
-    mono_acc: dict[int, list[Expr]] = {}
-    for mono in d.monomials:
-        mono_acc.setdefault(mono.degree, []).append(mono.coefficient)
-    pole_acc: dict[tuple[int, int], list[Expr]] = {}
-    for pole in d.poles:
-        pole_acc.setdefault((pole.pole_index, pole.order), []).append(pole.coefficient)
-    monomials = []
-    for degree in sorted(mono_acc):
-        total = sum_of(mono_acc[degree])
-        if total != ZERO:
-            monomials.append(MonomialTerm(degree, total))
-    poles = []
-    for key in sorted(pole_acc):
-        total = sum_of(pole_acc[key])
-        if total != ZERO:
-            poles.append(PoleTerm(key[0], key[1], total))
-    return Decomposition(d.roots, tuple(monomials), tuple(poles))
+# --- infix rendering ---------------------------------------------------------
+#
+# The text form is part of the package's output contract: deterministic,
+# ASCII, and re-parseable into the identical canonical expression.
+
+
+def _render_fraction(v: Fraction) -> str:
+    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
+def _render_power(e: Power) -> str:
+    base = e.base
+    base_s = base.name if isinstance(base, Symbol) else f"({_render_sum_level(base)})"
+    exp_s = str(e.exponent) if e.exponent >= 0 else f"({e.exponent})"
+    return f"{base_s}^{exp_s}"
+
+
+def _render_factor(e: Expr) -> str:
+    """Render for use inside a '*'-joined product."""
+    if isinstance(e, Constant):
+        v = e.value
+        if v.denominator == 1 and v >= 0:
+            return str(v.numerator)
+        return f"({_render_fraction(v)})"
+    if isinstance(e, Symbol):
+        return e.name
+    if isinstance(e, Power):
+        return _render_power(e)
+    if isinstance(e, Sum):
+        return f"({_render_sum_level(e)})"
+    return "*".join(_render_factor(f) for f in e.factors)
+
+
+def _render_term(e: Expr) -> str:
+    """Render a term for use inside a ' + '-joined sum; a Sum gets
+    parentheses."""
+    if isinstance(e, Constant):
+        return _render_fraction(e.value)
+    if isinstance(e, Product):
+        return "*".join(_render_factor(f) for f in e.factors)
+    return _render_factor(e)
+
+
+def _sign_split(e: Expr) -> tuple[bool, Expr]:
+    """Split a leading negative rational off a term: -3*a -> (True, 3*a)."""
+    if isinstance(e, Constant) and e.value < 0:
+        return True, Constant(-e.value)
+    if isinstance(e, Product):
+        head = e.factors[0]
+        if isinstance(head, Constant) and head.value < 0:
+            rest = e.factors[1:]
+            if head.value == -1:
+                return True, rest[0] if len(rest) == 1 else Product(rest)
+            return True, Product((Constant(-head.value),) + rest)
+    return False, e
+
+
+def _render_sum_level(e: Expr) -> str:
+    if not isinstance(e, Sum):
+        negative, magnitude = _sign_split(e)
+        body = _render_term(magnitude)
+        return f"-{body}" if negative else body
+    pieces = []
+    for i, t in enumerate(e.terms):
+        negative, magnitude = _sign_split(t)
+        body = _render_term(magnitude)
+        if i == 0:
+            pieces.append(f"-{body}" if negative else body)
+        else:
+            pieces.append(f" - {body}" if negative else f" + {body}")
+    return "".join(pieces)
+
+
+def render_expr(e: Expr) -> str:
+    """Deterministic infix text; parses back to the same canonical Expr."""
+    return _render_sum_level(e)
 
 
 # --- decomposition term rendering --------------------------------------------
 
 
-def _render_coefficient_prefix(e: Expr) -> str:
-    """Coefficient in front of '*x^i' or '*(x - a)^(-j)'; it sits in factor
-    position, so Sums and fractional constants get parentheses."""
-    return _render_factor(e)
-
-
 def _pole_base(root: Expr, order: int) -> str:
     negative, magnitude = _sign_split(root)
-    root_s = _render_factor(magnitude) if isinstance(magnitude, Sum) else _render_term(magnitude)
     sign = "+" if negative else "-"
-    return f"({VARIABLE} {sign} {root_s})^(-{order})"
+    return f"({VARIABLE} {sign} {_render_term(magnitude)})^(-{order})"
 
 
 def _infix_body(term: MonomialTerm | PoleTerm, magnitude: Expr, root: Expr | None) -> str:
     if isinstance(term, MonomialTerm):
         if term.degree == 0:
-            if isinstance(magnitude, Sum):
-                return f"({_render_sum_level(magnitude)})"
             return _render_term(magnitude)
         x_s = VARIABLE if term.degree == 1 else f"{VARIABLE}^{term.degree}"
-        if magnitude == Constant(Fraction(1)):
+        if magnitude == ONE:
             return x_s
-        return f"{_render_coefficient_prefix(magnitude)}*{x_s}"
+        return f"{_render_factor(magnitude)}*{x_s}"
     base = _pole_base(root, term.order)
-    if magnitude == Constant(Fraction(1)):
+    if magnitude == ONE:
         return base
-    return f"{_render_coefficient_prefix(magnitude)}*{base}"
+    return f"{_render_factor(magnitude)}*{base}"
 
 
 # --- term streams ------------------------------------------------------------

@@ -59,9 +59,11 @@ def test_arity_mismatch_exits_1_naming_counts(in_tmp, capsys):
 
 
 def test_duplicate_roots_exit_1(in_tmp, capsys):
-    code, _, err = run_cli(capsys, "0,1,1", "a,(2*a)/2")
-    assert code == 1
-    assert "share the root" in err
+    for roots in ("a,(2*a)/2", "1/(a-b)+1/(a+b),2*a/(a^2-b^2)"):
+        code, out, err = run_cli(capsys, "--verify", "3", "0,1,1", roots)
+        assert code == 1, roots
+        assert out == ""
+        assert err.count("\n") == 1 and "share the root" in err, roots
 
 
 def test_root_containing_x_rejected(in_tmp, capsys):
@@ -110,6 +112,9 @@ def test_structured_format(in_tmp, capsys):
     code, out, _ = run_cli(capsys, "--format", "structured", "0,1", "a")
     assert code == 0
     assert out == "P 1 1 1\n"
+    code, out, _ = run_cli(capsys, "--format", "structured", "3,2,1", "a+b,a-b")
+    assert code == 0
+    assert (in_tmp / "result.out").read_bytes() == out.encode()
 
 
 def test_expand_flag(in_tmp, capsys):
@@ -117,6 +122,7 @@ def test_expand_flag(in_tmp, capsys):
     plain = run_cli(capsys, "1,1,1", "a+b,a-b")[1]
     expanded = run_cli(capsys, "--expand", "1,1,1", "a+b,a-b")[1]
     assert plain != expanded
+    assert (in_tmp / "result.out").read_bytes() == expanded.encode()
     bind = {"a": Fraction(2, 3), "b": Fraction(5, 7), "x": Fraction(19, 4)}
     assert evaluate(parse_expr(plain), bind) == evaluate(parse_expr(expanded), bind)
 

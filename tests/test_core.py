@@ -42,6 +42,12 @@ def test_spec_invariants():
         spec_of(0, (a, 0))
     with pytest.raises(ValueError):
         RationalFunctionSpec(0, ())
+    # a root whose denominator is zero: 1/(a-b) + 1/(b-a) is a nonzero Sum
+    with pytest.raises(ValueError, match="undefined"):
+        spec_of(0, (1 / (1 / (a - b) + 1 / (b - a)), 1), (c, 1))
+    # ... also under a second inversion, where it becomes a zero numerator
+    with pytest.raises(ValueError, match="undefined"):
+        spec_of(0, (1 / (c + 1 / (1 / (a - b) + 1 / (b - a))), 1), (c, 1))
 
 
 def test_duplicate_roots_rejected():
@@ -54,6 +60,9 @@ def test_duplicate_roots_rejected():
     with pytest.raises(DuplicateRootError) as err:
         spec_of(0, (a * (b + c), 1), (a * b + a * c, 1))
     assert err.value.first == 0 and err.value.second == 1
+    # equal rational functions: 1/(a-b) + 1/(a+b) == 2a/(a^2 - b^2)
+    with pytest.raises(DuplicateRootError):
+        spec_of(0, (1 / (a - b) + 1 / (a + b), 1), (2 * a / (a**2 - b**2), 1))
 
 
 def test_distinct_roots_accepted():

@@ -135,15 +135,19 @@ def test_engine_matches_oracle_on_improper_inputs():
 
 
 def test_compare_with_oracle_detects_mismatch():
-    spec = RationalFunctionSpec(0, ((Constant(1), 1), (Constant(2), 1)))
-    d = decompose(spec)
-    bad = Decomposition(
-        d.roots,
-        d.monomials,
-        (PoleTerm(0, 1, d.poles[0].coefficient + 1),) + d.poles[1:],
-    )
-    message = compare_with_oracle(spec, bad)
-    assert message is not None and "mismatch" in message
+    for spec in (
+        RationalFunctionSpec(0, ((Constant(1), 1), (Constant(2), 1))),
+        RationalFunctionSpec(5, ((Constant(1), 1), (Constant(2), 2))),  # improper
+    ):
+        d = decompose(spec)
+        assert compare_with_oracle(spec, d) is None
+        bad = Decomposition(
+            d.roots,
+            d.monomials,
+            (PoleTerm(0, 1, d.poles[0].coefficient + 1),) + d.poles[1:],
+        )
+        message = compare_with_oracle(spec, bad)
+        assert message is not None and "mismatch" in message
 
 
 def test_compare_with_oracle_requires_rational_roots():

@@ -5,7 +5,9 @@ comma-separated integers ``l, m_1, ..., m_n`` (numerator exponent followed by
 the factor multiplicities), then the comma-separated roots.  The
 decomposition variable is always ``x``; roots therefore must not mention
 ``x``.  Results go to stdout and, via the streaming writer, to ``result.out``
-(overwritten; configurable with --output).
+(overwritten; configurable with --output).  The file is written under a
+temporary name in the same directory and renamed into place when complete,
+so a failed write leaves no partial result.
 
 Exit status: 0 success, 1 usage or input error, 2 verification failure.
 """
@@ -13,15 +15,17 @@ Exit status: 0 success, 1 usage or input error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
+import os
+import shutil
 import sys
 from typing import Sequence
 
 from .core import DuplicateRootError, RationalFunctionSpec, decompose
-from .expr import Constant, symbols_in
+from .expr import Constant
 from .oracle import check_by_substitution, compare_with_oracle
 from .output import (
-    VARIABLE,
     OutputFormat,
     StreamBuffer,
     StreamWriteError,
@@ -143,12 +147,34 @@ def _build_spec(exponents_src: str, roots_src: str) -> RationalFunctionSpec:
             f"{len(mults) + 1} exponent entries require {len(mults)} roots, "
             f"{len(roots)} given"
         )
-    for idx, root in enumerate(roots, start=1):
-        if VARIABLE in symbols_in(root):
-            raise UsageError(
-                f"root {idx} contains the decomposition variable '{VARIABLE}'"
-            )
     return RationalFunctionSpec(l, tuple(zip(roots, mults)))
+
+
+def _write_result(path: str, chunks, capacity: int) -> None:
+    """Stream ``chunks`` to a temporary file beside ``path``, then rename it
+    to ``path``.  Symbolic links are followed first, so the file they point
+    to is replaced and keeps its permission bits.  Replacing by rename needs
+    a writable directory and does not keep hard links to the old file.  An
+    existing path that is not a regular file (a device or a pipe) is written
+    in place, since renaming over it would replace it."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        tmp = path
+    else:
+        head, tail = os.path.split(path)
+        tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as sink:
+            write_streaming(chunks, sink, StreamBuffer(capacity=capacity))
+        if tmp != path:
+            if os.path.exists(path):
+                shutil.copymode(path, tmp)
+            os.replace(tmp, path)
+    except BaseException:
+        if tmp != path:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
 
 
 def _verify(spec: RationalFunctionSpec, d, trials: int) -> list[str]:
@@ -194,8 +220,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         chunks = list(chunks)
 
     try:
-        with open(ns.output, "wb") as sink:
-            write_streaming(chunks, sink, StreamBuffer(capacity=ns.buffer_capacity))
+        _write_result(ns.output, chunks, ns.buffer_capacity)
     except (OSError, StreamWriteError) as err:
         print(f"partfrac: error: cannot write {ns.output!r}: {err}", file=sys.stderr)
         return 1

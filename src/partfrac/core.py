@@ -2,13 +2,12 @@
 
 The roots a_k are opaque canonical expressions (symbols, rationals, or
 arithmetic combinations of both) that must be pairwise distinct and free of
-the decomposition variable.  Proper inputs are decomposed by a closed
-residue formula whose derivatives have been expanded into a sum over weak
-compositions weighted by binomial coefficients, so no symbolic
-differentiation is ever performed.  Improper inputs are first split into a
-monomial times a proper fraction, decomposed, and finished with a symbolic
-polynomial division of each x^p / (x - a)^q piece.  Each route produces
-raw terms and hands them to :func:`collect`, the package's one merge.
+the decomposition variable.  One closed formula covers every input: the
+pole terms come from the residue formula with its derivatives expanded into
+a sum over weak compositions weighted by binomial coefficients, and the
+quotient of an improper input is another such sum.  No symbolic
+differentiation or polynomial division is ever performed.  Both sums
+produce raw terms and hand them to :func:`collect`, the package's one merge.
 
 Everything here is pure and immutable: decompositions are value objects and
 the same input always yields byte-identical output downstream.
@@ -16,12 +15,15 @@ the same input always yields byte-identical output downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from itertools import combinations
+from math import prod
+from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import binomial, compositions
 from .expr import ONE, ZERO, Constant, Expr, Power, Product, Sum, expand, product_of, sum_of
+from .expr import symbols_in
 
 __all__ = [
     "DuplicateRootError",
@@ -36,6 +38,8 @@ __all__ = [
     "decompose_batch",
     "collect",
 ]
+
+VARIABLE = "x"  # the decomposition variable is fixed
 
 
 class DuplicateRootError(ValueError):
@@ -56,8 +60,8 @@ class RationalFunctionSpec:
     """The input x^l * prod_k (x - root_k)^(-mult_k).
 
     ``factors`` is an ordered sequence of (root, multiplicity) pairs.  Roots
-    must be canonical expressions with no zero divisor, pairwise distinct as
-    rational functions of their symbols.  Each root is brought to expanded
+    must be canonical, free of x, with no zero divisor, and pairwise distinct
+    as rational functions of their symbols.  Each root is brought to expanded
     numerator/denominator polynomials once; a pair with equal denominators
     (every pair of polynomial roots) compares numerators, any other pair
     expands its cross-multiplied difference.
@@ -81,20 +85,17 @@ class RationalFunctionSpec:
                 raise ValueError(f"multiplicity must be >= 1, got {mult}")
         fractions = []
         for idx, root in enumerate(self.roots, start=1):
+            if VARIABLE in symbols_in(root):
+                raise ValueError(f"root {idx} contains the decomposition variable '{VARIABLE}'")
             try:
                 n, d = _numerator_denominator(root)
             except ZeroDivisionError:
                 raise ValueError(f"root {idx} is undefined: it divides by zero") from None
             fractions.append((expand(n), expand(d)))
-        for i in range(len(fractions)):
-            for k in range(i + 1, len(fractions)):
-                (n_i, d_i), (n_k, d_k) = fractions[i], fractions[k]
-                if d_i == d_k:  # expand is canonical: compare the numerators
-                    same = n_i == n_k
-                else:
-                    same = expand(n_i * d_k - n_k * d_i) == ZERO
-                if same:
-                    raise DuplicateRootError(i, k, self.factors[i][0])
+        for (i, (n_i, d_i)), (k, (n_k, d_k)) in combinations(enumerate(fractions), 2):
+            # expand is canonical: equal denominators compare the numerators
+            if n_i == n_k if d_i == d_k else expand(n_i * d_k - n_k * d_i) == ZERO:
+                raise DuplicateRootError(i, k, self.factors[i][0])
 
     @property
     def roots(self) -> tuple[Expr, ...]:
@@ -170,9 +171,8 @@ class Decomposition:
     poles: tuple[PoleTerm, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "roots", tuple(self.roots))
-        object.__setattr__(self, "monomials", tuple(self.monomials))
-        object.__setattr__(self, "poles", tuple(self.poles))
+        for field in ("roots", "monomials", "poles"):
+            object.__setattr__(self, field, tuple(getattr(self, field)))
 
 
 def proper_contributions(spec: RationalFunctionSpec) -> Iterator[tuple[int, int, Expr]]:
@@ -194,31 +194,61 @@ def proper_contributions(spec: RationalFunctionSpec) -> Iterator[tuple[int, int,
             f"proper decomposition requires numerator degree < denominator degree, "
             f"got {spec.numerator_degree} >= {spec.denominator_degree}"
         )
-    return _proper_contributions(spec)
+    return ((i, o, c) for _, i, o, c in _pole_contributions(spec, (spec.numerator_degree,)))
 
 
-def _proper_contributions(spec: RationalFunctionSpec) -> Iterator[tuple[int, int, Expr]]:
-    l = spec.numerator_degree
-    roots = spec.roots
-    mults = spec.multiplicities
-    n = len(roots)
+def _pole_contributions(
+    spec: RationalFunctionSpec, degrees: Sequence[int], residues_only: bool = False
+) -> Iterator[tuple[int, int, int, Expr]]:
+    """Yield (l, pole_index, order, coefficient), the contributions of
+    :func:`proper_contributions` to x^l / Q for each l in ``degrees``; with
+    ``residues_only``, only those of order 1 (the residues)."""
+    roots, mults, n = spec.roots, spec.multiplicities, len(spec.factors)
     for i in range(n):
         a_i = roots[i]
         others = [(roots[k], mults[k]) for k in range(n) if k != i]
         diffs = [a_i - a_k for a_k, _ in others]  # reused across compositions
         for comp in compositions(mults[i] - 1, n + 1):
             j_num, j_pole = comp[0], comp[1]
-            scale = Fraction(binomial(l, j_num))
-            if scale == 0:
+            if j_num > max(degrees) or (residues_only and j_pole):
                 continue
-            parts: list[Expr] = [a_i ** (l - j_num)]
+            rest, parts = Fraction(1), []
             for (a_k, m_k), diff, j_k in zip(others, diffs, comp[2:]):
-                scale *= binomial(m_k + j_k - 1, j_k)
+                rest *= binomial(m_k + j_k - 1, j_k)
                 if j_k % 2:
-                    scale = -scale
+                    rest = -rest
                 parts.append(diff ** (-(m_k + j_k)))
-            parts.append(Constant(scale))
-            yield i, j_pole + 1, product_of(parts)
+            for l in degrees:
+                scale = binomial(l, j_num) * rest
+                if scale:
+                    yield l, i, j_pole + 1, product_of(
+                        [a_i ** (l - j_num), *parts, Constant(scale)])
+
+
+def _quotient_contributions(spec: RationalFunctionSpec) -> Iterator[MonomialTerm]:
+    """Yield the raw monomials of the quotient sum_{j=0}^{l-m} h_j * x^(l-m-j)
+    of an improper input.  h_j (complete homogeneous symmetric polynomial of
+    the roots with multiplicity) sums prod_k C(m_k + c_k - 1, c_k) * a_k^(c_k)
+    over the weak compositions c of j: C(j+n-1, n-1) terms.  Once that costs
+    more than h_j = sum_i Res_{a_i} x^(j+m-1) / Q, the order-1 pole formula
+    with sum_i C(m_i+n-2, n-1) terms of n+1 factors each (root differences,
+    about twice as costly as powers of roots), the residue form is used.
+    """
+    l, m, mults = spec.numerator_degree, spec.denominator_degree, spec.multiplicities
+    n = len(mults)
+    residue_cost = 2 * (n + 1) * sum(binomial(m_k + n - 2, n - 1) for m_k in mults)
+    j = 0
+    while j <= l - m and binomial(j + n - 1, n - 1) * (min(j, n) + 1) <= residue_cost:
+        for comp in compositions(j, n):
+            pairs = list(zip(spec.factors, comp))
+            scale = prod(binomial(m_k + c_k - 1, c_k) for (_, m_k), c_k in pairs)
+            parts = [Constant(scale), *(a_k**c_k for (a_k, _), c_k in pairs)]
+            yield MonomialTerm(l - m - j, product_of(parts))
+        j += 1
+    if j <= l - m:
+        degrees = range(j + m - 1, l)
+        for k, _, _, c in _pole_contributions(spec, degrees, residues_only=True):
+            yield MonomialTerm(l - 1 - k, c)
 
 
 def decompose_proper(spec: RationalFunctionSpec) -> Decomposition:
@@ -228,51 +258,25 @@ def decompose_proper(spec: RationalFunctionSpec) -> Decomposition:
 
 
 def poly_div(coefficient: Expr, p: int, q: int, root: Expr) -> Decomposition:
-    """Expand coefficient * x^p / (x - root)^q by symbolic polynomial division.
+    """Expand coefficient * x^p / (x - root)^q: the one-factor case of
+    :func:`decompose`, every coefficient multiplied by ``coefficient``.
 
-    Returns a single-root fragment: quotient monomials
-
-        sum_{i=0}^{p-q} C(p-1-i, q-1) * root^(p-q-i) * x^i
-
-    plus the already-decomposed remainder
-
-        sum_{i=max(0, p-q+1)}^{p} C(p, i) * root^i / (x - root)^(q+i-p).
+    That is the quotient sum_{i=0}^{p-q} C(p-1-i, q-1) * root^(p-q-i) * x^i
+    plus the poles sum_{i=max(0, p-q+1)}^{p} C(p, i) * root^i / (x - root)^(q+i-p).
     """
-    if p < 0:
-        raise ValueError(f"numerator degree must be >= 0, got {p}")
-    if q < 1:
-        raise ValueError(f"pole order must be >= 1, got {q}")
-    monomials = []
-    for i in range(p - q + 1):
-        c = product_of([Constant(Fraction(binomial(p - 1 - i, q - 1))),
-                        root ** (p - q - i), coefficient])
-        if c != ZERO:
-            monomials.append(MonomialTerm(i, c))
-    poles = []
-    for i in range(max(0, p - q + 1), p + 1):
-        c = product_of([Constant(Fraction(binomial(p, i))), root**i, coefficient])
-        if c != ZERO:
-            poles.append(PoleTerm(0, q + i - p, c))
-    return Decomposition(roots=(root,), monomials=tuple(monomials), poles=tuple(poles))
+    return decompose_batch([(coefficient, RationalFunctionSpec(p, ((root, q),)))])
 
 
 def decompose(spec: RationalFunctionSpec) -> Decomposition:
-    """Full decomposition: proper inputs go straight to the closed formula;
-    improper ones are rewritten as x^(l-m+1) * (x^(m-1) / Q(x)), decomposed,
-    and every resulting pole term is finished with :func:`poly_div`.
+    """Full decomposition.  Proper inputs go to :func:`decompose_proper`.  An
+    improper input takes its pole terms from the same closed formula at its
+    own numerator degree, and its quotient from weak-composition sums too.
     """
     if spec.is_proper:
         return decompose_proper(spec)
-    m = spec.denominator_degree
-    p = spec.numerator_degree - (m - 1)
-    base = decompose_proper(replace(spec, numerator_degree=m - 1))
-    monomials: list[MonomialTerm] = []
-    poles: list[PoleTerm] = []
-    for term in base.poles:
-        fragment = poly_div(term.coefficient, p, term.order, spec.roots[term.pole_index])
-        monomials.extend(fragment.monomials)
-        poles.extend(replace(pole, pole_index=term.pole_index) for pole in fragment.poles)
-    return collect(Decomposition(roots=spec.roots, monomials=monomials, poles=poles))
+    l = spec.numerator_degree
+    poles = (PoleTerm(i, order, c) for _, i, order, c in _pole_contributions(spec, (l,)))
+    return collect(Decomposition(spec.roots, _quotient_contributions(spec), poles))
 
 
 def decompose_batch(
@@ -302,20 +306,15 @@ def collect(d: Decomposition) -> Decomposition:
     summed into canonical form, exact zeros dropped and keys sorted.
     Idempotent.  Every merge in the package goes through here.
     """
-    mono_acc: dict[int, list[Expr]] = {}
-    for mono in d.monomials:
-        mono_acc.setdefault(mono.degree, []).append(mono.coefficient)
-    pole_acc: dict[tuple[int, int], list[Expr]] = {}
-    for pole in d.poles:
-        pole_acc.setdefault((pole.pole_index, pole.order), []).append(pole.coefficient)
-    monomials = []
-    for degree in sorted(mono_acc):
-        total = sum_of(mono_acc[degree])
-        if total != ZERO:
-            monomials.append(MonomialTerm(degree, total))
-    poles = []
-    for key in sorted(pole_acc):
-        total = sum_of(pole_acc[key])
-        if total != ZERO:
-            poles.append(PoleTerm(key[0], key[1], total))
-    return Decomposition(d.roots, tuple(monomials), tuple(poles))
+    def merged(terms, key):
+        acc: dict = {}
+        for term in terms:
+            acc.setdefault(key(term), []).append(term.coefficient)
+        for k in sorted(acc):
+            total = sum_of(acc[k])
+            if total != ZERO:
+                yield k, total
+
+    monomials = [MonomialTerm(k, c) for k, c in merged(d.monomials, lambda t: t.degree)]
+    poles = [PoleTerm(*k, c) for k, c in merged(d.poles, lambda t: (t.pole_index, t.order))]
+    return Decomposition(d.roots, monomials, poles)

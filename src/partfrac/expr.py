@@ -23,11 +23,16 @@ The text form of an expression belongs to :mod:`partfrac.output`;
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
 Numeric = Union[int, Fraction]
+
+# A Symbol name; the parser reads identifiers with the same pattern, so every
+# rendered expression parses back.
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 __all__ = [
     "Expr",
@@ -131,6 +136,10 @@ class Constant(Expr):
 @dataclass(frozen=True, slots=True)
 class Symbol(Expr):
     name: str
+
+    def __post_init__(self):
+        if not isinstance(self.name, str) or not IDENTIFIER.fullmatch(self.name):
+            raise ValueError(f"symbol name must match {IDENTIFIER.pattern}, got {self.name!r}")
 
 
 @dataclass(frozen=True, slots=True)

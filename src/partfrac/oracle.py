@@ -98,6 +98,8 @@ class DensePolynomial:
 
     @staticmethod
     def monomial(degree: int, coefficient: Fraction = Fraction(1)) -> "DensePolynomial":
+        if degree < 0:
+            raise ValueError(f"monomial degree must be >= 0, got {degree}")
         return DensePolynomial((Fraction(0),) * degree + (Fraction(coefficient),))
 
     @staticmethod

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import BinaryIO, Iterable, Iterator
 
-from .core import Decomposition, MonomialTerm, PoleTerm
+from .core import VARIABLE, Decomposition, MonomialTerm, PoleTerm
 from .expr import ONE, ZERO, Constant, Expr, Power, Product, Sum, Symbol, expand
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "write_streaming",
     "write_decomposition",
 ]
-
-VARIABLE = "x"  # the decomposition variable is fixed
 
 
 @dataclass(frozen=True)

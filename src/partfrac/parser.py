@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import Constant, Expr, Symbol, product_of
+from .expr import IDENTIFIER, Constant, Expr, Symbol, product_of
 
 __all__ = ["SourceSpan", "ParseError", "parse_expr", "parse_root_list"]
 
@@ -47,9 +47,9 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
+    rf"""(?P<ws>\s+)
       | (?P<int>[0-9]+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<ident>{IDENTIFIER.pattern})
       | (?P<op>[-+*/^(),])
     """,
     re.VERBOSE,

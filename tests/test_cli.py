@@ -1,6 +1,8 @@
 import os
+import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ import partfrac.cli as cli
 from partfrac import (
     Decomposition,
     PoleTerm,
+    StreamWriteError,
     evaluate,
     parse_expr,
 )
@@ -106,6 +109,53 @@ def test_output_path_and_overwrite(in_tmp, capsys):
     code, out, _ = run_cli(capsys, "--output", str(target), "0,1,2", "a,b")
     assert code == 0
     assert target.read_bytes() == out.encode()
+
+
+def test_failed_write_leaves_no_partial_file(in_tmp, capsys, monkeypatch):
+    def failing_write(chunks, sink, buffer=None):
+        sink.write(next(iter(chunks)).encode("ascii"))  # part of the result
+        raise StreamWriteError(1, OSError("no space left on device"))
+
+    monkeypatch.setattr(cli, "write_streaming", failing_write)
+    code, out, err = run_cli(capsys, "3,1,2", "a,b")
+    assert code == 1 and out == ""
+    assert "cannot write 'result.out'" in err and "no space left" in err
+    assert os.listdir(in_tmp) == []
+    # an existing result survives a failed overwrite, byte for byte
+    (in_tmp / "result.out").write_text("previous result\n")
+    assert run_cli(capsys, "3,1,2", "a,b")[0] == 1
+    assert os.listdir(in_tmp) == ["result.out"]
+    assert (in_tmp / "result.out").read_text() == "previous result\n"
+
+
+def test_output_through_a_symlink_replaces_its_target(in_tmp, capsys):
+    real_dir = in_tmp / "real"
+    real_dir.mkdir()
+    target = real_dir / "result.txt"
+    target.write_text("previous result\n")
+    target.chmod(0o640)
+    os.symlink(target, in_tmp / "link.out")
+    code, out, _ = run_cli(capsys, "--output", "link.out", "0,1", "a")
+    assert code == 0
+    assert os.path.islink(in_tmp / "link.out")
+    assert target.read_bytes() == out.encode()
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o640
+    assert sorted(os.listdir(in_tmp)) == ["link.out", "real"]
+    assert os.listdir(real_dir) == ["result.txt"]
+
+
+def test_output_to_a_pipe_is_written_in_place(in_tmp, capsys):
+    fifo = in_tmp / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, out, _ = run_cli(capsys, "--output", str(fifo), "0,1", "a")
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert code == 0 and received == [out.encode()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)  # not renamed over
+    assert os.listdir(in_tmp) == ["pipe"]
 
 
 def test_structured_format(in_tmp, capsys):

@@ -9,9 +9,13 @@ from partfrac import (
     DuplicateRootError,
     MonomialTerm,
     PoleTerm,
+    Power,
+    Product,
     RationalFunctionSpec,
+    Sum,
     binomial,
     check_by_substitution,
+    compare_with_oracle,
     compositions,
     decompose,
     decompose_batch,
@@ -63,6 +67,13 @@ def test_duplicate_roots_rejected():
     # equal rational functions: 1/(a-b) + 1/(a+b) == 2a/(a^2 - b^2)
     with pytest.raises(DuplicateRootError):
         spec_of(0, (1 / (a - b) + 1 / (a + b), 1), (2 * a / (a**2 - b**2), 1))
+
+
+def test_root_containing_x_rejected():
+    x = symbols("x")[0]
+    for root in (x, a + x, 1 / (a - x), (b * x) ** 2):
+        with pytest.raises(ValueError, match="root 2 contains the decomposition variable 'x'"):
+            spec_of(0, (a, 1), (root, 1))
 
 
 def test_distinct_roots_accepted():
@@ -249,6 +260,46 @@ def test_improper_two_factors_quotient_is_one():
     by_key = {(p.pole_index, p.order): p.coefficient for p in d.poles}
     assert by_key[(0, 1)] == a**2 * (a - b) ** -1
     assert by_key[(1, 1)] == b**2 * (b - a) ** -1
+
+
+def _has_negative_power(e):
+    if isinstance(e, Power):
+        return e.exponent < 0 or _has_negative_power(e.base)
+    children = e.terms if isinstance(e, Sum) else e.factors if isinstance(e, Product) else ()
+    return any(map(_has_negative_power, children))
+
+
+def test_leading_quotient_coefficients_are_polynomials_in_the_roots():
+    # x^3 / ((x-a)(x-b)) = x + (a + b) + poles
+    d = decompose(spec_of(3, (a, 1), (b, 1)))
+    assert d.monomials == (MonomialTerm(0, a + b), MonomialTerm(1, ONE))
+    # h_0, h_1 and h_2 always come from the expanded composition sum
+    specs = [spec_of(5, (a + b, 2), (a - b, 1)), spec_of(9, (a, 2), (b, 1), (2 * c + 1, 3))]
+    rng = random.Random(2468)
+    specs += [random_symbolic_spec(rng, max_n=4, max_mult=3, numerator="improper")
+              for _ in range(10)]
+    for spec in specs:
+        top = spec.numerator_degree - spec.denominator_degree
+        by_degree = {t.degree: t.coefficient for t in decompose(spec).monomials}
+        assert by_degree[top] == ONE
+        if top >= 1:
+            assert by_degree[top - 1] == sum((m * r for r, m in spec.factors), Constant(0))
+        for degree in range(max(0, top - 2), top + 1):
+            assert not _has_negative_power(by_degree[degree]), (spec, degree)
+
+
+def test_deep_quotient_coefficients_stay_linear_in_the_roots():
+    # x^43 / ((x-a)(x-b)(x-c)): expanded, h_j would have C(j+2, 2) terms;
+    # from h_3 on the residue form gives at most one term per root
+    spec = spec_of(43, (a, 1), (b, 1), (c, 1))
+    d = decompose(spec)
+    assert [t.degree for t in d.monomials] == list(range(41))
+    for mono in d.monomials:
+        if mono.degree <= 37:
+            assert isinstance(mono.coefficient, Sum) and len(mono.coefficient.terms) == 3
+    assert check_by_substitution(spec, d, trials=3, seed=5).passed
+    rational = spec_of(40, (Constant(1), 2), (Constant(Fraction(-1, 2)), 1), (Constant(3), 1))
+    assert compare_with_oracle(rational, decompose(rational)) is None
 
 
 def test_improper_rational_roots_structural_quotient():

@@ -17,6 +17,7 @@ from partfrac import (
     canonicalize,
     evaluate,
     expand,
+    parse_expr,
     product_of,
     sum_of,
     symbols,
@@ -229,6 +230,23 @@ def test_division_operator():
 def test_symbols_in():
     assert symbols_in((a + b) ** 2 * c) == {"a", "b", "c"}
     assert symbols_in(Constant(3)) == frozenset()
+
+
+def test_symbol_names_follow_the_identifier_grammar():
+    for name in ("a", "a1", "_tmp", "Alpha_2"):
+        assert parse_expr(str(Symbol(name) + 1)) == Symbol(name) + 1
+    # "p q" would render text that does not parse back
+    with pytest.raises(ValueError, match="symbol name"):
+        Symbol("p q")
+    # non-ASCII names used to fail only in the ASCII writer, after part of
+    # the result file was written
+    with pytest.raises(ValueError, match="symbol name"):
+        Symbol("\u03b1")
+    for bad in ("", "1a", "a-b", "a\n", 3):
+        with pytest.raises(ValueError):
+            Symbol(bad)
+    with pytest.raises(ValueError):
+        symbols("a b+c")
 
 
 def test_expressions_are_hashable_value_objects():

@@ -71,6 +71,13 @@ def test_polynomial_evaluation_horner():
     assert p(Fraction(0)) == 1
 
 
+def test_monomial_rejects_negative_degree():
+    assert DensePolynomial.monomial(0).coefficients == (Fraction(1),)
+    assert DensePolynomial.monomial(2, Fraction(3)).coefficients == (0, 0, 3)
+    with pytest.raises(ValueError, match="degree"):
+        DensePolynomial.monomial(-1)
+
+
 # --- undetermined coefficients ----------------------------------------------------
 
 

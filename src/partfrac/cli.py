@@ -130,13 +130,7 @@ def _parse_exponents(src: str) -> tuple[int, list[int]]:
         raise UsageError(
             "exponent list needs the numerator exponent and at least one multiplicity"
         )
-    l, mults = values[0], values[1:]
-    if l < 0:
-        raise UsageError(f"numerator exponent must be >= 0, got {l}")
-    for m in mults:
-        if m < 1:
-            raise UsageError(f"multiplicities must be >= 1, got {m}")
-    return l, mults
+    return values[0], values[1:]
 
 
 def _build_spec(exponents_src: str, roots_src: str) -> RationalFunctionSpec:
@@ -216,13 +210,15 @@ def run(argv: Sequence[str] | None = None) -> int:
         term_chunks(d, OutputFormat(mode=ns.format, expand_coefficients=ns.expand)),
         ["\n"] if ns.format == "infix" else [],
     )
-    if not ns.quiet:
-        chunks = list(chunks)
-
     try:
+        if not ns.quiet:
+            chunks = list(chunks)
         _write_result(ns.output, chunks, ns.buffer_capacity)
     except (OSError, StreamWriteError) as err:
         print(f"partfrac: error: cannot write {ns.output!r}: {err}", file=sys.stderr)
+        return 1
+    except ValueError as err:  # an integer too long to convert to text
+        print(f"partfrac: error: cannot render the result: {err}", file=sys.stderr)
         return 1
 
     if not ns.quiet:

@@ -8,14 +8,16 @@ canonical form:
 * Products contain no nested Products, at most one leading Constant, and no
   two factors with the same base (exponents are added instead).
 * Power exponents are never 0 or 1; constant bases are folded.
-* Children are stored sorted under a fixed total order
-  (Constant < Symbol < Power < Product < Sum, recursively).
+* Children are stored sorted in tuple order.  A node is the tuple
+  ``(kind, *fields)`` with kinds Constant 0 < Symbol 1 < Power 2 <
+  Product 3 < Sum 4, so ``<`` compares kinds, then fields, recursively.
 
-Structural equality of canonical forms is what the rest of the package means
-by "the same expression".  Arithmetic operators on Expr values canonicalize
-eagerly, so ``a - a`` is literally the constant zero.  Trees assembled by
-calling the node constructors directly are *raw* and must go through
-:func:`canonicalize` first.
+Structural equality of canonical forms (tuple ``==``, with a matching
+``hash``) is what the rest of the package means by "the same expression".
+Arithmetic operators on Expr values canonicalize eagerly, so ``a - a`` is
+literally the constant zero.  Trees assembled by calling the node
+constructors directly are *raw* and must go through :func:`canonicalize`
+first.
 
 The text form of an expression belongs to :mod:`partfrac.output`;
 ``str(e)`` is :func:`partfrac.output.render_expr`.
@@ -24,8 +26,8 @@ The text form of an expression belongs to :mod:`partfrac.output`;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 Numeric = Union[int, Fraction]
@@ -65,10 +67,30 @@ class UnboundSymbolError(KeyError):
         return f"no binding for symbol '{self.name}'"
 
 
-class Expr:
-    """Base class for expression nodes; supports exact arithmetic operators."""
+class Expr(tuple):
+    """Base class for expression nodes; supports exact arithmetic operators.
+
+    A node is the tuple ``(kind, *fields)``.  Each subclass names its kind
+    and, as annotations, its fields in order; they read as properties.  Only
+    ``==``, ``hash`` and ``<`` of the tuple are API: ``len``, iteration and
+    indexing are not.
+    """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, kind: int):
+        cls._kind = kind
+        for i, name in enumerate(cls.__annotations__, start=1):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __new__(cls, *fields):
+        return tuple.__new__(cls, (cls._kind, *fields))
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return self[1:]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self[1:]))})"
 
     def __add__(self, other: "Expr | Numeric") -> "Expr":
         other = _coerce(other)
@@ -124,38 +146,38 @@ class Expr:
         return render_expr(self)
 
 
-@dataclass(frozen=True, slots=True)
-class Constant(Expr):
+class Constant(Expr, kind=0):
+    __slots__ = ()
     value: Fraction
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __new__(cls, value: Numeric):
+        return super().__new__(cls, value if isinstance(value, Fraction) else Fraction(value))
 
 
-@dataclass(frozen=True, slots=True)
-class Symbol(Expr):
+class Symbol(Expr, kind=1):
+    __slots__ = ()
     name: str
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not IDENTIFIER.fullmatch(self.name):
-            raise ValueError(f"symbol name must match {IDENTIFIER.pattern}, got {self.name!r}")
+    def __new__(cls, name: str):
+        if not isinstance(name, str) or not IDENTIFIER.fullmatch(name):
+            raise ValueError(f"symbol name must match {IDENTIFIER.pattern}, got {name!r}")
+        return super().__new__(cls, name)
 
 
-@dataclass(frozen=True, slots=True)
-class Sum(Expr):
-    terms: tuple[Expr, ...]
+class Power(Expr, kind=2):
+    __slots__ = ()
+    base: Expr
+    exponent: int
 
 
-@dataclass(frozen=True, slots=True)
-class Product(Expr):
+class Product(Expr, kind=3):
+    __slots__ = ()
     factors: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Power(Expr):
-    base: Expr
-    exponent: int
+class Sum(Expr, kind=4):
+    __slots__ = ()
+    terms: tuple[Expr, ...]
 
 
 ZERO = Constant(Fraction(0))
@@ -173,22 +195,6 @@ def _coerce(x) -> Expr | None:
     if isinstance(x, (int, Fraction)):
         return Constant(Fraction(x))
     return None
-
-
-# Kind tags fixing the total order Constant < Symbol < Power < Product < Sum.
-_K_CONSTANT, _K_SYMBOL, _K_POWER, _K_PRODUCT, _K_SUM = range(5)
-
-
-def _sort_key(e: Expr):
-    if isinstance(e, Constant):
-        return (_K_CONSTANT, e.value)
-    if isinstance(e, Symbol):
-        return (_K_SYMBOL, e.name)
-    if isinstance(e, Power):
-        return (_K_POWER, _sort_key(e.base), e.exponent)
-    if isinstance(e, Product):
-        return (_K_PRODUCT, tuple(_sort_key(f) for f in e.factors))
-    return (_K_SUM, tuple(_sort_key(t) for t in e.terms))
 
 
 def _negate(e: Expr) -> Expr:
@@ -241,8 +247,7 @@ def _make_sum(terms: Iterable[Expr]) -> Expr:
     """Canonical sum of canonical children: flatten, merge like terms, sort."""
     constant = Fraction(0)
     buckets: dict[Expr, Fraction] = {}
-    stack = list(terms)
-    stack.reverse()
+    stack = list(terms)[::-1]
     while stack:
         t = stack.pop()
         if isinstance(t, Sum):
@@ -256,7 +261,7 @@ def _make_sum(terms: Iterable[Expr]) -> Expr:
     parts = [_scale(rest, c) for rest, c in buckets.items() if c != 0]
     if constant != 0:
         parts.append(Constant(constant))
-    parts.sort(key=_sort_key)
+    parts.sort()
     if not parts:
         return ZERO
     if len(parts) == 1:
@@ -268,8 +273,7 @@ def _make_product(factors: Iterable[Expr]) -> Expr:
     """Canonical product of canonical children: flatten, merge bases, sort."""
     coeff = Fraction(1)
     powers: dict[Expr, int] = {}
-    stack = list(factors)
-    stack.reverse()
+    stack = list(factors)[::-1]
     while stack:
         f = stack.pop()
         if isinstance(f, Product):
@@ -278,19 +282,14 @@ def _make_product(factors: Iterable[Expr]) -> Expr:
         if isinstance(f, Constant):
             coeff *= f.value
             continue
-        if isinstance(f, Power):
-            base, exp = f.base, f.exponent
-        else:
-            base, exp = f, 1
+        base, exp = (f.base, f.exponent) if isinstance(f, Power) else (f, 1)
         powers[base] = powers.get(base, 0) + exp
     if coeff == 0:
         return ZERO
-    parts: list[Expr] = []
-    for base, exp in powers.items():
-        if exp == 0:
-            continue  # b^1 * b^(-1) cancels (bases are symbolic, assumed nonzero)
-        parts.append(base if exp == 1 else _make_power(base, exp))
-    parts.sort(key=_sort_key)
+    # exp 0: b^1 * b^(-1) cancels (bases are symbolic, assumed nonzero)
+    parts = sorted(
+        base if exp == 1 else _make_power(base, exp) for base, exp in powers.items() if exp
+    )
     if not parts:
         return Constant(coeff)
     if coeff == 1:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import BinaryIO, Iterable, Iterator
 
-from .core import VARIABLE, Decomposition, MonomialTerm, PoleTerm
-from .expr import ONE, ZERO, Constant, Expr, Power, Product, Sum, Symbol, expand
+from .core import VARIABLE, Decomposition, MonomialTerm, PoleTerm, collect
+from .expr import ONE, Constant, Expr, Power, Product, Sum, Symbol, expand
 
 __all__ = [
     "OutputFormat",
@@ -157,17 +157,9 @@ def _infix_body(term: MonomialTerm | PoleTerm, magnitude: Expr, root: Expr | Non
 def _prepared(d: Decomposition, fmt: OutputFormat) -> Decomposition:
     if not fmt.expand_coefficients:
         return d
-    monomials = []
-    for mono in d.monomials:
-        c = expand(mono.coefficient)
-        if c != ZERO:
-            monomials.append(MonomialTerm(mono.degree, c))
-    poles = []
-    for pole in d.poles:
-        c = expand(pole.coefficient)
-        if c != ZERO:
-            poles.append(PoleTerm(pole.pole_index, pole.order, c))
-    return Decomposition(d.roots, tuple(monomials), tuple(poles))
+    monomials = [MonomialTerm(t.degree, expand(t.coefficient)) for t in d.monomials]
+    poles = [PoleTerm(t.pole_index, t.order, expand(t.coefficient)) for t in d.poles]
+    return collect(Decomposition(d.roots, monomials, poles))
 
 
 def term_chunks(d: Decomposition, fmt: OutputFormat = OutputFormat()) -> Iterator[str]:

@@ -16,11 +16,13 @@ of a canonical product -- would not parse back to that product.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import IDENTIFIER, Constant, Expr, Symbol, product_of
+from .expr import IDENTIFIER, Constant, Expr, Product, Symbol, product_of
 
 __all__ = ["SourceSpan", "ParseError", "parse_expr", "parse_root_list"]
 
@@ -29,6 +31,23 @@ __all__ = ["SourceSpan", "ParseError", "parse_expr", "parse_root_list"]
 _MAX_DEPTH = 100
 
 _MINUS_ONE = Constant(Fraction(-1))
+
+
+def _max_digits() -> int:
+    """The int-to-text digit limit, or 4300 (its default) when it is off or
+    this Python has none; a longer number could not be rendered."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def _refuse_long_power(base: Expr, n: int, span: SourceSpan) -> None:
+    """Refuse base^n when its rational part would be too long to render,
+    before computing it: (p/q)^n has about |n| * log10(max(|p|, q)) digits
+    in its numerator or denominator."""
+    head = base.factors[0] if isinstance(base, Product) else base
+    if isinstance(head, Constant):
+        v, limit = head.value, _max_digits()
+        if abs(n) * math.log10(max(abs(v.numerator), v.denominator)) >= limit:
+            raise ParseError(f"constant power has more than {limit} digits", span)
 
 
 @dataclass(frozen=True)
@@ -144,6 +163,7 @@ class _Parser:
         return [_MINUS_ONE, node] if negate else [node]
 
     def power(self) -> Expr:
+        first = self.peek().span.start
         base = self.atom()
         if self.peek().kind != "^":
             return base
@@ -157,8 +177,10 @@ class _Parser:
         span = SourceSpan(start, end)
         if not (isinstance(exponent, Constant) and exponent.value.denominator == 1):
             raise ParseError("exponent must be an integer", span)
+        n = int(exponent.value)
+        _refuse_long_power(base, n, SourceSpan(first, end))
         try:
-            return base ** int(exponent.value)
+            return base**n
         except ZeroDivisionError:
             raise ParseError("division by zero (negative power of zero)", span) from None
 
@@ -166,6 +188,9 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
+            limit = _max_digits()
+            if len(tok.text) > limit:
+                raise ParseError(f"integer has more than {limit} digits", tok.span)
             return Constant(Fraction(int(tok.text)))
         if tok.kind == "ident":
             self.advance()

@@ -128,6 +128,24 @@ def test_failed_write_leaves_no_partial_file(in_tmp, capsys, monkeypatch):
     assert (in_tmp / "result.out").read_text() == "previous result\n"
 
 
+def test_huge_integers_end_in_one_line(in_tmp, capsys):
+    # the root itself is too long to render, or (3^99999999) would take
+    # minutes to compute: both are refused while parsing, with the span
+    for root in ("2^99999999", "3^99999999"):
+        code, out, err = run_cli(capsys, "0,1", root)
+        assert code == 1 and out == "", root
+        assert err.count("\n") == 1 and "Traceback" not in err, root
+        assert "more than 4300 digits (at offset 0..10)" in err, root
+        assert os.listdir(in_tmp) == [], root
+    # the root renders, but the quotient coefficients 10^(500*j) do not
+    for quiet in ((), ("--quiet",)):
+        code, out, err = run_cli(capsys, *quiet, "10,1", "10^500")
+        assert code == 1 and out == "", quiet
+        assert err.startswith("partfrac: error: cannot render the result:"), quiet
+        assert err.count("\n") == 1 and "Traceback" not in err, quiet
+        assert os.listdir(in_tmp) == [], quiet
+
+
 def test_output_through_a_symlink_replaces_its_target(in_tmp, capsys):
     real_dir = in_tmp / "real"
     real_dir.mkdir()

@@ -253,3 +253,97 @@ def test_expressions_are_hashable_value_objects():
     d = {a + b: 1}
     assert d[b + a] == 1
     assert hash(2 * a) == hash(a * 2)
+
+
+# --- canonical order -----------------------------------------------------------
+
+
+def _reference_key(e):
+    """The canonical order spelled out as a recursive key, independent of how
+    nodes compare: kind first, then the fields, children in order."""
+    if isinstance(e, Constant):
+        return (0, e.value)
+    if isinstance(e, Symbol):
+        return (1, e.name)
+    if isinstance(e, Power):
+        return (2, _reference_key(e.base), e.exponent)
+    if isinstance(e, Product):
+        return (3, tuple(map(_reference_key, e.factors)))
+    return (4, tuple(map(_reference_key, e.terms)))
+
+
+def _children(e):
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, Product):
+        return e.factors
+    return (e.base,) if isinstance(e, Power) else ()
+
+
+@settings(max_examples=100)
+@given(st.lists(raw_trees, min_size=2, max_size=8))
+def test_sorting_follows_the_reference_order(trees):
+    canon = [_canonical_or_skip(t) for t in trees]
+    assert sorted(canon) == sorted(canon, key=_reference_key)
+    for x in canon:
+        for y in canon:
+            assert (x < y) == (_reference_key(x) < _reference_key(y))
+            assert (x == y) == (_reference_key(x) == _reference_key(y))
+    # every node stores its children in that order
+    stack = list(canon)
+    while stack:
+        node = stack.pop()
+        kids = _children(node)
+        if not isinstance(node, Power):
+            assert list(kids) == sorted(kids, key=_reference_key)
+        stack.extend(kids)
+
+
+_monomial_factors = st.one_of(
+    st.sampled_from("abc").map(Symbol),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6).map(Constant),
+    st.tuples(st.sampled_from("abc").map(Symbol), st.integers(-3, 4)).map(
+        lambda p: p[0] ** p[1]
+    ),
+)
+
+
+@settings(max_examples=100)
+@given(st.lists(raw_trees, min_size=1, max_size=5), st.randoms(use_true_random=False))
+def test_operator_order_does_not_change_a_sum(trees, rnd):
+    terms = [_canonical_or_skip(t) for t in trees]
+    shuffled = list(terms)
+    rnd.shuffle(shuffled)
+    left = ZERO
+    for t in terms:
+        left = left + t
+    right = ZERO
+    for t in reversed(shuffled):
+        right = t + right
+    for other in (right, sum_of(shuffled)):
+        assert left == other
+        assert hash(left) == hash(other)
+    assert left - right == ZERO
+
+
+@settings(max_examples=150)
+@given(st.lists(_monomial_factors, min_size=1, max_size=6), st.randoms(use_true_random=False))
+def test_operator_order_does_not_change_a_product(factors, rnd):
+    shuffled = list(factors)
+    rnd.shuffle(shuffled)
+    left = ONE
+    for f in factors:
+        left = left * f
+    right = ONE
+    for f in reversed(shuffled):
+        right = f * right
+    for other in (right, product_of(shuffled)):
+        assert left == other
+        assert hash(left) == hash(other)
+
+
+def test_nodes_are_tuples_without_instance_dicts():
+    for e in (Constant(1), a, a**2, a * b, a + b):
+        assert not hasattr(e, "__dict__")
+        assert eval(repr(e)) == e
+    assert repr(a**-2) == "Power(Symbol('a'), -2)"

@@ -1,0 +1,87 @@
+"""Pinned output bytes: one sha256 digest per class of seeded inputs.
+
+Each digest covers ``serialize`` of every decomposition in its class in all
+four output forms (infix and structured, each plain and with expanded
+coefficients).  A change that is meant to keep the output bytes must leave
+every digest as it is.  A change that alters the bytes on purpose
+regenerates the digests and says which classes changed and why:
+
+    PYTHONPATH=src:tests python -c "import test_golden as g; print(g.digests())"
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from helpers import random_rational_spec, random_symbolic_spec
+from partfrac import OutputFormat, Symbol, decompose, decompose_batch, serialize
+
+FORMATS = [
+    OutputFormat(mode=mode, expand_coefficients=expand)
+    for mode in ("infix", "structured")
+    for expand in (False, True)
+]
+
+
+def _specs(make, seed, count, **kwargs):
+    rng = random.Random(seed)
+    return [make(rng, **kwargs) for _ in range(count)]
+
+
+def _batches(seed, count):
+    """Weighted sums of symbolic inputs over shared roots a1, a2, ..., with
+    weights that are rationals or symbols, so terms merge and cancel."""
+    rng = random.Random(seed)
+    batches = []
+    for _ in range(count):
+        terms = []
+        for i in range(rng.randint(2, 4)):
+            spec = random_symbolic_spec(rng, max_n=3, max_mult=2)
+            weight = rng.choice([1, -1, 2, Symbol(f"c{i}")])
+            terms.append((weight, spec))
+        batches.append(decompose_batch(terms))
+    return batches
+
+
+CLASSES = {
+    "rational_proper": lambda: map(
+        decompose, _specs(random_rational_spec, 101, 60, numerator="proper")
+    ),
+    "rational_improper": lambda: map(
+        decompose, _specs(random_rational_spec, 102, 40, numerator="improper")
+    ),
+    "symbolic_proper": lambda: map(
+        decompose, _specs(random_symbolic_spec, 103, 40, max_n=4, numerator="proper")
+    ),
+    "symbolic_improper": lambda: map(
+        decompose, _specs(random_symbolic_spec, 104, 30, max_n=3, numerator="improper")
+    ),
+    "batch": lambda: _batches(105, 20),
+}
+
+GOLDEN = {
+    "rational_proper": "329f9f45555decb9d46ac598f133d7cd1eae05d13b0e6ec468c437e82aa34181",
+    "rational_improper": "10c6b00764e3fe157af5b81301ecb6d5626482c3084c0b5325c481ed31622d0f",
+    "symbolic_proper": "a275077c406bdbb86920fe12ece3f3f4f7e4e146015e020000e2676ba8505013",
+    "symbolic_improper": "7d92b53a6279c90fe72dc8acd9c225d166b7b4c75ddc1b9e319313cafbbbd39c",
+    "batch": "325fd9668a56e8a93836efe4afbf4e155225ebba17b4f887d1d6565219be4e94",
+}
+
+
+def _digest(decompositions) -> str:
+    h = hashlib.sha256()
+    for d in decompositions:
+        for fmt in FORMATS:
+            h.update(serialize(d, fmt).encode("ascii"))
+            h.update(b"\n--\n")
+    return h.hexdigest()
+
+
+def digests() -> dict[str, str]:
+    return {name: _digest(build()) for name, build in CLASSES.items()}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_output_bytes_match_golden_digest(name):
+    assert _digest(CLASSES[name]()) == GOLDEN[name]

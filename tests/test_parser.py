@@ -165,3 +165,28 @@ def test_parser_never_panics_on_grammar_like_input(src):
 def test_render_parse_round_trip(tree):
     canon = _canonical_or_skip(tree)
     assert parse_expr(render_expr(canon)) == canon
+
+
+def test_constant_powers_too_long_to_render_are_refused_up_front(monkeypatch):
+    # 10^4299 has 4300 digits, the default int-to-text limit; 10^4300 has one more
+    assert parse_expr("10^4299") == Constant(10**4299)
+    for src, span in (
+        ("10^4300", (0, 7)),
+        ("a + 2^99999999", (4, 14)),
+        ("3^99999999", (0, 10)),  # refused before the power is computed
+        ("(3*a)^99999999", (0, 14)),
+        ("(2/3)^(-99999)", (0, 14)),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_expr(src)
+        assert "digits" in err.value.message, src
+        assert (err.value.span.start, err.value.span.end) == span, src
+    assert parse_expr("1^99999999") == Constant(1)
+    assert parse_expr("a^99999999") == a**99999999
+    with pytest.raises(ParseError) as err:
+        parse_root_list("a, " + "7" * 4301)
+    assert "entry 2: integer has more than 4300 digits" in err.value.message
+    # with the limit switched off, 4300 digits still bound what is accepted
+    monkeypatch.setattr("sys.get_int_max_str_digits", lambda: 0, raising=False)
+    with pytest.raises(ParseError):
+        parse_expr("10^4300")

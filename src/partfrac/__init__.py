@@ -43,6 +43,7 @@ from .oracle import (
     Counterexample,
     DensePolynomial,
     SubstitutionReport,
+    TooLargeToVerify,
     check_by_substitution,
     compare_with_oracle,
     decomposition_value,

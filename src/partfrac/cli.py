@@ -9,7 +9,9 @@ decomposition variable is always ``x``; roots therefore must not mention
 temporary name in the same directory and renamed into place when complete,
 so a failed write leaves no partial result.
 
-Exit status: 0 success, 1 usage or input error, 2 verification failure.
+Exit status: 0 success, 1 usage or input error, 2 verification failure.  A
+result whose verification would evaluate numbers too long to handle exactly
+is written, then refused with exit status 1.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Sequence
 
 from .core import DuplicateRootError, RationalFunctionSpec, decompose
 from .expr import Constant
-from .oracle import check_by_substitution, compare_with_oracle
+from .oracle import TooLargeToVerify, check_by_substitution, compare_with_oracle
 from .output import (
     OutputFormat,
     StreamBuffer,
@@ -226,7 +228,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()
 
     if ns.verify is not None:
-        failures = _verify(spec, d, ns.verify)
+        try:
+            failures = _verify(spec, d, ns.verify)
+        except TooLargeToVerify as err:
+            print(f"partfrac: error: cannot verify the result: {err}", file=sys.stderr)
+            return 1
         if failures:
             for msg in failures:
                 print(f"partfrac: verification: {msg}", file=sys.stderr)

@@ -41,6 +41,11 @@ __all__ = [
 
 VARIABLE = "x"  # the decomposition variable is fixed
 
+# A root is refused when its expanded numerator or denominator could have
+# more terms than this: expand multiplies powers of sums out term by term,
+# and (a + 1)^499, at the limit, takes about 2.5 s.
+MAX_EXPANDED_TERMS = 500
+
 
 class DuplicateRootError(ValueError):
     """Two denominator factors share a root (after expansion)."""
@@ -87,6 +92,10 @@ class RationalFunctionSpec:
         for idx, root in enumerate(self.roots, start=1):
             if VARIABLE in symbols_in(root):
                 raise ValueError(f"root {idx} contains the decomposition variable '{VARIABLE}'")
+            if max(_expanded_terms(root)) > MAX_EXPANDED_TERMS:
+                raise ValueError(
+                    f"root {idx} would expand to more than {MAX_EXPANDED_TERMS} terms"
+                )
             try:
                 n, d = _numerator_denominator(root)
             except ZeroDivisionError:
@@ -138,6 +147,35 @@ def _numerator_denominator(e: Expr) -> tuple[Expr, Expr]:
         )
         return numerator, product_of(dens)
     return e, ONE
+
+
+def _expanded_terms(e: Expr) -> tuple[int, int]:
+    """Upper bounds on the term counts of the expanded (n, d) that
+    :func:`_numerator_denominator` returns for ``e``, computed without
+    expanding: a t-term sum raised to k has at most C(k+t-1, t-1) terms, and
+    counts multiply across a product.  Counts saturate just above
+    MAX_EXPANDED_TERMS, so huge exponents cost nothing."""
+    cap = MAX_EXPANDED_TERMS + 1
+    if isinstance(e, Power):
+        n, d = _expanded_terms(e.base)
+        k = abs(e.exponent)
+        if e.exponent < 0:
+            n, d = d, n
+
+        def power(t: int) -> int:  # a t-term sum raised to k
+            if t == 1:
+                return 1
+            return cap if k >= cap else min(binomial(k + t - 1, k), cap)
+
+        return power(n), power(d)
+    if isinstance(e, Product):
+        sizes = [_expanded_terms(f) for f in e.factors]
+        return min(prod(n for n, _ in sizes), cap), min(prod(d for _, d in sizes), cap)
+    if isinstance(e, Sum):
+        sizes = [_expanded_terms(t) for t in e.terms]
+        den = min(prod(d for _, d in sizes), cap)
+        return min(sum(n * den // d for n, d in sizes), cap), den
+    return 1, 1
 
 
 @dataclass(frozen=True)
@@ -212,7 +250,7 @@ def _pole_contributions(
             j_num, j_pole = comp[0], comp[1]
             if j_num > max(degrees) or (residues_only and j_pole):
                 continue
-            rest, parts = Fraction(1), []
+            rest, parts = 1, []
             for (a_k, m_k), diff, j_k in zip(others, diffs, comp[2:]):
                 rest *= binomial(m_k + j_k - 1, j_k)
                 if j_k % 2:

@@ -12,6 +12,10 @@ canonical form:
   ``(kind, *fields)`` with kinds Constant 0 < Symbol 1 < Power 2 <
   Product 3 < Sum 4, so ``<`` compares kinds, then fields, recursively.
 
+A Constant's ``value`` is an ``int`` when it is integral and a ``Fraction``
+otherwise, so equal values are stored alike, and ``==``, ``hash`` and ``<``
+of trees with integer coefficients never leave C.
+
 Structural equality of canonical forms (tuple ``==``, with a matching
 ``hash``) is what the rest of the package means by "the same expression".
 Arithmetic operators on Expr values canonicalize eagerly, so ``a - a`` is
@@ -28,7 +32,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 Numeric = Union[int, Fraction]
 
@@ -147,11 +151,20 @@ class Expr(tuple):
 
 
 class Constant(Expr, kind=0):
+    """An exact rational.  ``value`` is an ``int`` when the value is integral
+    and a ``Fraction`` otherwise; floats and other numbers are converted
+    exactly."""
+
     __slots__ = ()
-    value: Fraction
+    value: Numeric
 
     def __new__(cls, value: Numeric):
-        return super().__new__(cls, value if isinstance(value, Fraction) else Fraction(value))
+        if type(value) is not int:
+            if not isinstance(value, Fraction):
+                value = Fraction(value)
+            if value.denominator == 1:
+                value = value.numerator
+        return super().__new__(cls, value)
 
 
 class Symbol(Expr, kind=1):
@@ -180,8 +193,9 @@ class Sum(Expr, kind=4):
     terms: tuple[Expr, ...]
 
 
-ZERO = Constant(Fraction(0))
-ONE = Constant(Fraction(1))
+ZERO = Constant(0)
+ONE = Constant(1)
+_MINUS_ONE = Constant(-1)
 
 
 def symbols(names: str) -> tuple[Symbol, ...]:
@@ -193,12 +207,12 @@ def _coerce(x) -> Expr | None:
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, Fraction)):
-        return Constant(Fraction(x))
+        return Constant(x)
     return None
 
 
 def _negate(e: Expr) -> Expr:
-    return _make_product([Constant(Fraction(-1)), e])
+    return _make_product([_MINUS_ONE, e])
 
 
 def _make_power(base: Expr, exponent: int) -> Expr:
@@ -208,9 +222,11 @@ def _make_power(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Constant):
-        if base.value == 0 and exponent < 0:
+        if exponent > 0:
+            return Constant(base.value**exponent)
+        if base.value == 0:
             raise ZeroDivisionError("zero base raised to a negative exponent")
-        return Constant(base.value**exponent)
+        return Constant(Fraction(base.value) ** exponent)  # int ** -k is a float
     if isinstance(base, Power):
         # (b^i)^j = b^(i*j); valid because exponents are integers
         return _make_power(base.base, base.exponent * exponent)
@@ -219,17 +235,17 @@ def _make_power(base: Expr, exponent: int) -> Expr:
     return Power(base, exponent)
 
 
-def _split_coefficient(term: Expr) -> tuple[Fraction, Expr | None]:
+def _split_coefficient(term: Expr) -> tuple[Numeric, Expr | None]:
     """Split a canonical non-Sum term into (rational coefficient, rest)."""
     if isinstance(term, Constant):
         return term.value, None
     if isinstance(term, Product) and isinstance(term.factors[0], Constant):
         rest = term.factors[1:]
         return term.factors[0].value, rest[0] if len(rest) == 1 else Product(rest)
-    return Fraction(1), term
+    return 1, term
 
 
-def _scale(term: Expr, c: Fraction) -> Expr:
+def _scale(term: Expr, c: Numeric) -> Expr:
     """c * term for a canonical non-Sum term and nonzero rational c."""
     if c == 1:
         return term
@@ -245,8 +261,8 @@ def _scale(term: Expr, c: Fraction) -> Expr:
 
 def _make_sum(terms: Iterable[Expr]) -> Expr:
     """Canonical sum of canonical children: flatten, merge like terms, sort."""
-    constant = Fraction(0)
-    buckets: dict[Expr, Fraction] = {}
+    constant = 0
+    buckets: dict[Expr, Numeric] = {}
     stack = list(terms)[::-1]
     while stack:
         t = stack.pop()
@@ -257,7 +273,7 @@ def _make_sum(terms: Iterable[Expr]) -> Expr:
         if rest is None:
             constant += coeff
         else:
-            buckets[rest] = buckets.get(rest, Fraction(0)) + coeff
+            buckets[rest] = buckets.get(rest, 0) + coeff
     parts = [_scale(rest, c) for rest, c in buckets.items() if c != 0]
     if constant != 0:
         parts.append(Constant(constant))
@@ -271,7 +287,7 @@ def _make_sum(terms: Iterable[Expr]) -> Expr:
 
 def _make_product(factors: Iterable[Expr]) -> Expr:
     """Canonical product of canonical children: flatten, merge bases, sort."""
-    coeff = Fraction(1)
+    coeff = 1
     powers: dict[Expr, int] = {}
     stack = list(factors)[::-1]
     while stack:
@@ -343,32 +359,54 @@ def evaluate(e: Expr, bindings: Mapping[str, Numeric]) -> Fraction:
     Raises :class:`UnboundSymbolError` for missing bindings and
     ZeroDivisionError when a negative power hits a zero base.
     """
-    if isinstance(e, Constant):
-        return e.value
-    if isinstance(e, Symbol):
-        try:
-            v = bindings[e.name]
-        except KeyError:
-            raise UnboundSymbolError(e.name) from None
-        return Fraction(v)
-    if isinstance(e, Sum):
-        total = Fraction(0)
-        for t in e.terms:
-            total += evaluate(t, bindings)
-        return total
-    if isinstance(e, Product):
-        total = Fraction(1)
-        for f in e.factors:
-            total *= evaluate(f, bindings)
-        return total
-    if isinstance(e, Power):
-        base = evaluate(e.base, bindings)
-        if base == 0 and e.exponent < 0:
-            raise ZeroDivisionError(
-                f"zero base raised to exponent {e.exponent} during evaluation"
-            )
-        return base**e.exponent
-    raise TypeError(f"not an expression node: {e!r}")
+    return Fraction(_evaluator(bindings)(e))
+
+
+def _evaluator(bindings: Mapping[str, Numeric]) -> Callable[[Expr], Numeric]:
+    """The exact value function of one binding; values are ``int`` or
+    ``Fraction``.  Power nodes are memoized by node, so a power shared within
+    or across the expressions evaluated is raised once per binding.  Other
+    nodes are computed directly: a product's or a sum's value is large and its
+    node rarely shared, and memoizing them costs more memory than it saves.
+    """
+    memo: dict[Expr, Numeric] = {}
+
+    def value(e: Expr) -> Numeric:
+        if isinstance(e, Product):
+            total = 1
+            for f in e.factors:
+                total *= value(f)
+            return total
+        if isinstance(e, Power):
+            try:
+                return memo[e]
+            except KeyError:
+                pass
+            base, k = value(e.base), e.exponent
+            if k >= 0:
+                v = base**k
+            elif not base:
+                raise ZeroDivisionError(f"zero base raised to exponent {k} during evaluation")
+            else:  # int ** -k is a float
+                v = (base if isinstance(base, Fraction) else Fraction(base)) ** k
+            memo[e] = v
+            return v
+        if isinstance(e, Sum):
+            total = 0
+            for t in e.terms:
+                total += value(t)
+            return total
+        if isinstance(e, Constant):
+            return e.value
+        if isinstance(e, Symbol):
+            try:
+                v = bindings[e.name]
+            except KeyError:
+                raise UnboundSymbolError(e.name) from None
+            return v if isinstance(v, (int, Fraction)) else Fraction(v)
+        raise TypeError(f"not an expression node: {e!r}")
+
+    return value
 
 
 def expand(e: Expr) -> Expr:

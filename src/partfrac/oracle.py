@@ -17,10 +17,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import Decomposition, PoleTerm, RationalFunctionSpec
-from .expr import Constant, evaluate, symbols_in
+from .expr import Constant, Expr, Numeric, Power, Product, Sum, Symbol, _evaluator
 
 __all__ = [
     "DensePolynomial",
@@ -29,6 +29,7 @@ __all__ = [
     "decomposition_value",
     "Counterexample",
     "SubstitutionReport",
+    "TooLargeToVerify",
     "check_by_substitution",
     "compare_with_oracle",
 ]
@@ -196,23 +197,38 @@ def rational_function_value(
     spec: RationalFunctionSpec, bindings: Mapping[str, Fraction], x: Fraction
 ) -> Fraction:
     """Exact value of x^l * prod (x - a_k)^(-m_k) at a rational point."""
-    value = Fraction(x) ** spec.numerator_degree
-    for root, mult in spec.factors:
-        value *= (Fraction(x) - evaluate(root, bindings)) ** (-mult)
-    return value
+    value = _evaluator(bindings)
+    return _spec_value(spec, [value(root) for root in spec.roots], Fraction(x))
 
 
 def decomposition_value(
     d: Decomposition, bindings: Mapping[str, Fraction], x: Fraction
 ) -> Fraction:
     """Exact value of the decomposed sum at a rational point."""
-    x = Fraction(x)
+    return _decomposition_value(*_instantiate(d, _evaluator(bindings)), Fraction(x))
+
+
+def _spec_value(spec: RationalFunctionSpec, root_values: Sequence, x: Fraction) -> Fraction:
+    value = x**spec.numerator_degree
+    for root, mult in zip(root_values, spec.multiplicities):
+        value *= (x - root) ** (-mult)
+    return value
+
+
+def _instantiate(d: Decomposition, value: Callable[[Expr], Numeric]) -> tuple[list, list]:
+    """The terms of ``d`` under one binding: (degree, coefficient) per
+    monomial and (root, order, coefficient) per pole."""
+    monomials = [(m.degree, value(m.coefficient)) for m in d.monomials]
+    poles = [(value(d.roots[p.pole_index]), p.order, value(p.coefficient)) for p in d.poles]
+    return monomials, poles
+
+
+def _decomposition_value(monomials: list, poles: list, x: Fraction) -> Fraction:
     total = Fraction(0)
-    for mono in d.monomials:
-        total += evaluate(mono.coefficient, bindings) * x**mono.degree
-    for pole in d.poles:
-        root = evaluate(d.roots[pole.pole_index], bindings)
-        total += evaluate(pole.coefficient, bindings) * (x - root) ** (-pole.order)
+    for degree, coeff in monomials:
+        total += coeff * x**degree
+    for root, order, coeff in poles:
+        total += coeff * (x - root) ** (-order)
     return total
 
 
@@ -244,8 +260,20 @@ class SubstitutionReport:
         )
 
 
+_DRAW = 10**6  # symbols and x are drawn as p/q with 1 <= p, q <= _DRAW
+_BINDING_BITS = 2 * _DRAW.bit_length()
+# Substitution refuses an input whose evaluation would reach a number of more
+# bits than this (numerator plus denominator).  The gcd of two such numbers
+# takes about 0.15 s, and the cost grows with the square of the length.
+_MAX_BITS = 1 << 18
+
+
+class TooLargeToVerify(ValueError):
+    """Substitution would evaluate numbers too long for exact arithmetic."""
+
+
 def _random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+    return Fraction(rng.randint(1, _DRAW), rng.randint(1, _DRAW))
 
 
 def check_by_substitution(
@@ -259,53 +287,35 @@ def check_by_substitution(
 
     Each trial draws one set of symbol bindings (redrawn if two roots
     collide) and ``points_per_trial`` x values avoiding all poles.  Stops at
-    the first counterexample.
+    the first counterexample.  All expressions are evaluated through one
+    memo per binding.  Raises :class:`TooLargeToVerify` before evaluating
+    anything when a power would reach a number of more than ``_MAX_BITS``
+    bits.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    names = _symbol_names(spec, d)
     rng = random.Random(seed)
-    names = set()
-    for root, _ in spec.factors:
-        names |= symbols_in(root)
-    for root in d.roots:
-        names |= symbols_in(root)
-    for term in (*d.monomials, *d.poles):
-        names |= symbols_in(term.coefficient)
-    names = sorted(names)
-
     checked = 0
     for _ in range(trials):
         for _ in range(100):
             bindings = {name: _random_fraction(rng) for name in names}
-            spec_roots = [evaluate(root, bindings) for root, _ in spec.factors]
+            value = _evaluator(bindings)  # one memo per binding
+            spec_roots = [value(root) for root in spec.roots]
             if len(set(spec_roots)) == len(spec_roots):
                 break
         else:  # pragma: no cover - collision probability is negligible
             raise RuntimeError("could not draw non-colliding root values")
-        # Instantiate every coefficient once per binding; the x loop then only
-        # does cheap rational arithmetic.
-        mono_inst = [
-            (m.degree, evaluate(m.coefficient, bindings)) for m in d.monomials
-        ]
-        pole_inst = [
-            (evaluate(d.roots[p.pole_index], bindings), p.order,
-             evaluate(p.coefficient, bindings))
-            for p in d.poles
-        ]
-        avoid = set(spec_roots) | {root for root, _, _ in pole_inst}
-        mults = spec.multiplicities
+        # Instantiate every term once per binding; the x loop then only does
+        # cheap rational arithmetic.
+        monomials, poles = _instantiate(d, value)
+        avoid = set(spec_roots) | {root for root, _, _ in poles}
         for _ in range(points_per_trial):
             x = _random_fraction(rng)
             while x in avoid:  # pragma: no cover - negligible probability
                 x = _random_fraction(rng)
-            original = x**spec.numerator_degree
-            for root, mult in zip(spec_roots, mults):
-                original *= (x - root) ** (-mult)
-            decomposed = Fraction(0)
-            for degree, coeff in mono_inst:
-                decomposed += coeff * x**degree
-            for root, order, coeff in pole_inst:
-                decomposed += coeff * (x - root) ** (-order)
+            original = _spec_value(spec, spec_roots, x)
+            decomposed = _decomposition_value(monomials, poles, x)
             checked += 1
             if original != decomposed:
                 return SubstitutionReport(
@@ -313,6 +323,56 @@ def check_by_substitution(
                     Counterexample(bindings, x, original, decomposed),
                 )
     return SubstitutionReport(True, trials, checked, None)
+
+
+def _symbol_names(spec: RationalFunctionSpec, d: Decomposition) -> list[str]:
+    """The sorted symbol names of ``spec`` and ``d``, found in one walk that
+    visits each distinct node once.  Refuses, before anything is evaluated,
+    a power whose value would have more than ``_MAX_BITS`` bits."""
+    nodes = _distinct_nodes(
+        (*spec.roots, *d.roots, *(t.coefficient for t in (*d.monomials, *d.poles)))
+    )
+    memo: dict[Expr, int] = {}
+    largest = max((_bits(e, memo) for e in nodes if isinstance(e, Power)), default=0)
+    if largest > _MAX_BITS:
+        raise TooLargeToVerify(
+            f"substitution would evaluate numbers of about {largest} bits, "
+            f"more than the limit of {_MAX_BITS}"
+        )
+    return sorted(e.name for e in nodes if isinstance(e, Symbol))
+
+
+def _distinct_nodes(exprs: Iterable[Expr]) -> set[Expr]:
+    """The Symbol, Sum and Power nodes under ``exprs``, each visited once."""
+    seen: set[Expr] = set()
+    stack = list(exprs)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Product):
+            stack.extend(e.factors)
+        elif not isinstance(e, Constant) and e not in seen:
+            seen.add(e)
+            if isinstance(e, Sum):
+                stack.extend(e.terms)
+            elif isinstance(e, Power):
+                stack.append(e.base)
+    return seen
+
+
+def _bits(e: Expr, memo: dict[Expr, int]) -> int:
+    """Upper estimate of the bits (numerator plus denominator) of ``e``'s
+    value under drawn bindings: the bits of a sum or product add up, a
+    power multiplies its base's by the exponent."""
+    if isinstance(e, Constant):
+        return e.value.numerator.bit_length() + e.value.denominator.bit_length()
+    if isinstance(e, Symbol):
+        return _BINDING_BITS
+    if e not in memo:
+        if isinstance(e, Power):
+            memo[e] = abs(e.exponent) * _bits(e.base, memo)
+        else:
+            memo[e] = sum(_bits(c, memo) for c in (e.terms if isinstance(e, Sum) else e.factors))
+    return memo[e]
 
 
 def compare_with_oracle(spec: RationalFunctionSpec, d: Decomposition) -> str | None:
@@ -349,7 +409,8 @@ def compare_with_oracle(spec: RationalFunctionSpec, d: Decomposition) -> str | N
     got_poles = {(p.pole_index, p.order): p.coefficient.value for p in d.poles}
     if got_monomials != want_monomials:
         return (
-            f"quotient mismatch: engine={got_monomials} oracle={want_monomials}"
+            f"quotient mismatch: engine={_render_values(got_monomials)} "
+            f"oracle={_render_values(want_monomials)}"
         )
     if got_poles == want_poles:
         return None
@@ -361,3 +422,9 @@ def compare_with_oracle(spec: RationalFunctionSpec, d: Decomposition) -> str | N
                 f"engine={a} oracle={b}"
             )
     return "decompositions differ"  # pragma: no cover
+
+
+def _render_values(values: Mapping) -> str:
+    """``{k: v, ...}`` with each value in its text form, so an int and an
+    equal Fraction read the same."""
+    return "{" + ", ".join(f"{k}: {v}" for k, v in values.items()) + "}"

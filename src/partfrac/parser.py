@@ -20,7 +20,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .expr import IDENTIFIER, Constant, Expr, Product, Symbol, product_of
 
@@ -30,7 +29,7 @@ __all__ = ["SourceSpan", "ParseError", "parse_expr", "parse_root_list"]
 # below Python's default recursion limit so malformed input cannot crash us.
 _MAX_DEPTH = 100
 
-_MINUS_ONE = Constant(Fraction(-1))
+_MINUS_ONE = Constant(-1)
 
 
 def _max_digits() -> int:
@@ -191,7 +190,7 @@ class _Parser:
             limit = _max_digits()
             if len(tok.text) > limit:
                 raise ParseError(f"integer has more than {limit} digits", tok.span)
-            return Constant(Fraction(int(tok.text)))
+            return Constant(int(tok.text))
         if tok.kind == "ident":
             self.advance()
             return Symbol(tok.text)

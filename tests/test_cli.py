@@ -146,6 +146,21 @@ def test_huge_integers_end_in_one_line(in_tmp, capsys):
         assert os.listdir(in_tmp) == [], quiet
 
 
+def test_work_without_bound_ends_in_one_line(in_tmp, capsys):
+    # expanding the root would build 100001 terms one at a time
+    code, out, err = run_cli(capsys, "0,1", "(a+1)^100000")
+    assert code == 1 and out == ""
+    assert err == "partfrac: error: root 1 would expand to more than 500 terms\n"
+    assert os.listdir(in_tmp) == []
+    # verifying would evaluate a^999999 at a rational of about 40 bits; the
+    # result itself is written, then the verification is refused
+    code, out, err = run_cli(capsys, "0,1,1", "a,a^999999", "--verify", "1")
+    assert code == 1
+    assert err.startswith("partfrac: error: cannot verify the result:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert (in_tmp / "result.out").read_text() == out
+
+
 def test_output_through_a_symlink_replaces_its_target(in_tmp, capsys):
     real_dir = in_tmp / "real"
     real_dir.mkdir()

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from partfrac import (
     ONE,
@@ -12,7 +14,6 @@ from partfrac import (
     Power,
     Product,
     RationalFunctionSpec,
-    Sum,
     binomial,
     check_by_substitution,
     compare_with_oracle,
@@ -25,9 +26,14 @@ from partfrac import (
     poly_div,
     proper_contributions,
     serialize,
+    Sum,
+    Symbol,
+    expand,
     symbols,
 )
+from partfrac.core import MAX_EXPANDED_TERMS, _expanded_terms, _numerator_denominator
 from helpers import random_rational_spec, random_symbolic_spec
+from test_expr import _canonical_or_skip, raw_trees
 
 a, b, c = symbols("a b c")
 
@@ -52,6 +58,28 @@ def test_spec_invariants():
     # ... also under a second inversion, where it becomes a zero numerator
     with pytest.raises(ValueError, match="undefined"):
         spec_of(0, (1 / (c + 1 / (1 / (a - b) + 1 / (b - a))), 1), (c, 1))
+
+
+def test_roots_too_large_to_expand_are_refused_up_front():
+    # (a + 1)^100000 would take hours to multiply out, in the numerator or,
+    # inverted, in the denominator
+    for root in ((a + 1) ** 100000, (a + 1) ** -100000, b * (a + b + c) ** 40):
+        with pytest.raises(ValueError, match=f"more than {MAX_EXPANDED_TERMS} terms"):
+            spec_of(0, (root, 1))
+    spec_of(0, ((a + b + c) ** 30, 1), ((a - 1) ** 3 / (b + 2) ** 2, 2))  # 496 terms
+
+
+@settings(max_examples=150)
+@given(raw_trees)
+def test_expanded_term_estimate_is_an_upper_bound(tree):
+    e = _canonical_or_skip(tree)
+    try:
+        n, d = _numerator_denominator(e)
+    except ZeroDivisionError:
+        return
+    for estimate, actual in zip(_expanded_terms(e), (expand(n), expand(d))):
+        count = len(actual.terms) if isinstance(actual, Sum) else 1
+        assert count <= estimate
 
 
 def test_duplicate_roots_rejected():
@@ -427,3 +455,58 @@ def test_improper_rational_reconstruction():
                 Fraction(0),
             )
             assert lhs == rhs
+
+
+# --- exact arithmetic stays in C -------------------------------------------------
+
+
+@pytest.fixture
+def fraction_calls(monkeypatch):
+    """Counts of the Python-level Fraction methods ``__eq__``, ``__hash__``
+    and ``__pow__``."""
+    calls = Counter()
+    for name in ("__eq__", "__hash__", "__pow__"):
+        def counted(*args, _name=name, _method=getattr(Fraction, name)):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    return calls
+
+
+def _power_nodes(exprs):
+    """Distinct Power nodes at any depth, by a walk written for the test."""
+    found, stack = set(), list(exprs)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Power):
+            found.add(e)
+            stack.append(e.base)
+        elif isinstance(e, (Sum, Product)):
+            stack.extend(e.terms if isinstance(e, Sum) else e.factors)
+    return found
+
+
+def test_integral_coefficients_make_no_python_level_fraction_calls(fraction_calls):
+    rng = random.Random(12)
+    mults = [3, 3, 3] + [1] * 9
+    rng.shuffle(mults)
+    roots = [Symbol(f"a{i + 1}") for i in range(12)]
+    spec = RationalFunctionSpec(rng.randint(0, sum(mults) - 1), tuple(zip(roots, mults)))
+    batch = [
+        (w, RationalFunctionSpec(l, tuple(zip(roots[:3], (5, 7, 11)))))
+        for w, l in ((1, 0), (-2, 9), (3, 22), (5, 30))
+    ]
+    d = decompose(spec)
+    decompose_batch(batch)
+    assert fraction_calls["__eq__"] == 0 and fraction_calls["__hash__"] == 0
+    assert len(d.poles) == 9 + 3 * 3
+
+    # one substitution trial raises each distinct Power node once; the x
+    # side adds x^l, one power per input factor and one per output term
+    report = check_by_substitution(spec, d, trials=1, seed=5)
+    assert report.passed
+    coefficients = [t.coefficient for t in (*d.monomials, *d.poles)]
+    powers = _power_nodes([*spec.roots, *coefficients])
+    x_side = 1 + len(spec.factors) + len(d.monomials) + len(d.poles)
+    assert fraction_calls["__pow__"] == len(powers) + x_side

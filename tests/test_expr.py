@@ -23,6 +23,7 @@ from partfrac import (
     symbols,
     symbols_in,
 )
+from partfrac.expr import _evaluator
 
 a, b, c = symbols("a b c")
 
@@ -347,3 +348,110 @@ def test_nodes_are_tuples_without_instance_dicts():
         assert not hasattr(e, "__dict__")
         assert eval(repr(e)) == e
     assert repr(a**-2) == "Power(Symbol('a'), -2)"
+
+
+# --- constant representation -----------------------------------------------------
+
+_numbers = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.fractions(max_denominator=50),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+)
+
+
+@settings(max_examples=300)
+@given(_numbers)
+def test_constant_stores_an_int_exactly_when_integral(v):
+    stored = Constant(v).value
+    assert stored == Fraction(v)
+    assert type(stored) is (int if Fraction(v).denominator == 1 else Fraction)
+
+
+@settings(max_examples=200)
+@given(st.integers(-(10**6), 10**6), _numbers)
+def test_equal_constants_are_one_node_whatever_their_type(n, w):
+    y = Constant(w)
+    for x in (Constant(n), Constant(Fraction(n)), Constant(Fraction(3 * n, 3))):
+        assert x == Constant(n) and hash(x) == hash(Constant(n))
+        assert (x < y) == (_reference_key(x) < _reference_key(y))
+        assert (x == y) == (_reference_key(x) == _reference_key(y))
+
+
+# --- evaluation returns exact Fractions ------------------------------------------
+
+
+def test_evaluate_returns_a_fraction_for_every_node_kind():
+    bindings = {"a": 2, "b": Fraction(1, 3)}
+    for e in (Constant(3), a, a**2, a**-1, 3 * a * b, a + b, Power(Constant(2), -1)):
+        assert type(evaluate(e, bindings)) is Fraction, e
+    assert evaluate(Power(Constant(2), -1), {}) == Fraction(1, 2)
+    assert evaluate(Power(a, -3), {"a": 2}) == Fraction(1, 8)
+    assert evaluate(Constant(3), {}) == 3
+
+
+@settings(max_examples=150)
+@given(raw_trees, st.integers(0, 2**32))
+def test_evaluate_returns_a_fraction_on_raw_trees(tree, seed):
+    bindings = {k: int(v) if v.denominator == 1 else v
+                for k, v in _random_bindings(random.Random(seed)).items()}
+    try:
+        assert type(evaluate(tree, bindings)) is Fraction
+    except ZeroDivisionError:
+        assume(False)
+
+
+def _reference_value(e, bindings):
+    """Plain recursive Fraction evaluation, no memo."""
+    if isinstance(e, Constant):
+        return Fraction(e.value)
+    if isinstance(e, Symbol):
+        return Fraction(bindings[e.name])
+    if isinstance(e, Sum):
+        return sum((_reference_value(t, bindings) for t in e.terms), Fraction(0))
+    if isinstance(e, Product):
+        total = Fraction(1)
+        for f in e.factors:
+            total *= _reference_value(f, bindings)
+        return total
+    return _reference_value(e.base, bindings) ** e.exponent
+
+
+@settings(max_examples=150)
+@given(st.lists(raw_trees, min_size=1, max_size=4), st.integers(0, 2**32))
+def test_memoized_evaluation_matches_the_reference_on_shared_subtrees(trees, seed):
+    canon = [_canonical_or_skip(t) for t in trees]
+    # every tree reappears inside the others, as factors, terms and bases
+    everything = Sum(tuple(canon))
+    shared = canon + [
+        Sum((Product((t, u)), Power(t, 2), Product((Constant(-1), u))))
+        for t in canon for u in canon
+    ] + [Power(everything, -1), Product((Product(tuple(canon)), everything))]
+    bindings = _random_bindings(random.Random(seed))
+    value = _evaluator(bindings)  # one memo across every expression
+    for e in shared:
+        try:
+            want = _reference_value(e, bindings)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                value(e)
+            continue
+        assert value(e) == want
+
+
+def test_zero_base_under_a_negative_power_still_raises():
+    value = _evaluator({"a": 1, "b": 1})
+    assert value((a - b) ** 2) == 0  # memoized before the negative power
+    for e in ((a - b) ** -1, (a - b) ** -2, 3 * a * (a - b) ** -1):
+        with pytest.raises(ZeroDivisionError):
+            value(e)
+        with pytest.raises(ZeroDivisionError):
+            evaluate(e, {"a": 1, "b": 1})
+    with pytest.raises(ZeroDivisionError):
+        evaluate(Power(Constant(0), -1), {})
+
+
+def test_two_bindings_never_share_memo_entries():
+    e = (a + b) ** 2 * (a - b) ** -1
+    one, two = _evaluator({"a": 3, "b": 1}), _evaluator({"a": 5, "b": 2})
+    assert one(e) == 8 and two(e) == Fraction(49, 3)
+    assert one(e) == 8 and one((a + b) ** 2) == 16 and two((a + b) ** 2) == 49

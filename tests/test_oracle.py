@@ -8,8 +8,10 @@ from partfrac import (
     Decomposition,
     DensePolynomial,
     DuplicateRootError,
+    MonomialTerm,
     PoleTerm,
     RationalFunctionSpec,
+    TooLargeToVerify,
     check_by_substitution,
     compare_with_oracle,
     decompose,
@@ -155,6 +157,29 @@ def test_compare_with_oracle_detects_mismatch():
         )
         message = compare_with_oracle(spec, bad)
         assert message is not None and "mismatch" in message
+
+
+def test_compare_with_oracle_mismatch_message_prints_values_as_text():
+    # x^2/(x - 1) = x + 1 + 1/(x - 1); the engine side claims 3/2 + x
+    spec = RationalFunctionSpec(2, ((Constant(1), 1),))
+    d = decompose(spec)
+    bad = Decomposition(d.roots, (MonomialTerm(0, Constant(Fraction(3, 2))),) + d.monomials[1:],
+                        d.poles)
+    assert compare_with_oracle(spec, bad) == (
+        "quotient mismatch: engine={0: 3/2, 1: 1} oracle={0: 1, 1: 1}"
+    )
+    wrong_pole = Decomposition(d.roots, d.monomials, (PoleTerm(0, 1, Constant(2)),))
+    assert compare_with_oracle(spec, wrong_pole) == (
+        "coefficient mismatch at factor 1 order 1: engine=2 oracle=1"
+    )
+
+
+def test_substitution_refuses_numbers_too_long_to_evaluate():
+    spec = RationalFunctionSpec(0, ((a, 1), (a**999999, 1)))
+    with pytest.raises(TooLargeToVerify, match="bits"):
+        check_by_substitution(spec, decompose(spec), trials=1)
+    spec = RationalFunctionSpec(3, ((a, 2), ((a + b) ** 200, 1)))  # about 16k bits
+    assert check_by_substitution(spec, decompose(spec), trials=1).passed
 
 
 def test_compare_with_oracle_requires_rational_roots():

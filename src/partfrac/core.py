@@ -42,9 +42,14 @@ __all__ = [
 VARIABLE = "x"  # the decomposition variable is fixed
 
 # A root is refused when its expanded numerator or denominator could have
-# more terms than this: expand multiplies powers of sums out term by term,
-# and (a + 1)^499, at the limit, takes about 2.5 s.
+# more terms than this.  expand builds a power of a sum as its multinomial
+# sum, so the work grows with the terms built: (a + 1)^499 and
+# (a + b + c)^30, at the limit, take about 0.03 s.
 MAX_EXPANDED_TERMS = 500
+# Two roots with different denominators are compared by expanding
+# n_i*d_k - n_k*d_i, one product per pair of terms; a pair that would take
+# more products than this is refused.
+MAX_CROSS_PRODUCTS = 20 * MAX_EXPANDED_TERMS
 
 
 class DuplicateRootError(ValueError):
@@ -69,7 +74,8 @@ class RationalFunctionSpec:
     as rational functions of their symbols.  Each root is brought to expanded
     numerator/denominator polynomials once; a pair with equal denominators
     (every pair of polynomial roots) compares numerators, any other pair
-    expands its cross-multiplied difference.
+    expands its cross-multiplied difference, and is refused when that would
+    take more than ``MAX_CROSS_PRODUCTS`` term products.
     """
 
     numerator_degree: int
@@ -103,6 +109,13 @@ class RationalFunctionSpec:
             fractions.append((expand(n), expand(d)))
         for (i, (n_i, d_i)), (k, (n_k, d_k)) in combinations(enumerate(fractions), 2):
             # expand is canonical: equal denominators compare the numerators
+            if d_i != d_k and (
+                _terms(n_i) * _terms(d_k) + _terms(n_k) * _terms(d_i) > MAX_CROSS_PRODUCTS
+            ):
+                raise ValueError(
+                    f"roots {i + 1} and {k + 1} are too large to compare: cross-multiplying "
+                    f"them takes more than {MAX_CROSS_PRODUCTS} term products"
+                )
             if n_i == n_k if d_i == d_k else expand(n_i * d_k - n_k * d_i) == ZERO:
                 raise DuplicateRootError(i, k, self.factors[i][0])
 
@@ -147,6 +160,11 @@ def _numerator_denominator(e: Expr) -> tuple[Expr, Expr]:
         )
         return numerator, product_of(dens)
     return e, ONE
+
+
+def _terms(e: Expr) -> int:
+    """The number of terms of an expanded polynomial."""
+    return len(e.terms) if isinstance(e, Sum) else 1
 
 
 def _expanded_terms(e: Expr) -> tuple[int, int]:

@@ -32,7 +32,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Container, Iterable, Iterator, Mapping, Union
+
+from .combinatorics import compositions, multinomial
 
 Numeric = Union[int, Fraction]
 
@@ -362,12 +364,15 @@ def evaluate(e: Expr, bindings: Mapping[str, Numeric]) -> Fraction:
     return Fraction(_evaluator(bindings)(e))
 
 
-def _evaluator(bindings: Mapping[str, Numeric]) -> Callable[[Expr], Numeric]:
+def _evaluator(
+    bindings: Mapping[str, Numeric], shared: Container[Expr] | None = None
+) -> Callable[[Expr], Numeric]:
     """The exact value function of one binding; values are ``int`` or
     ``Fraction``.  Power nodes are memoized by node, so a power shared within
-    or across the expressions evaluated is raised once per binding.  Other
-    nodes are computed directly: a product's or a sum's value is large and its
-    node rarely shared, and memoizing them costs more memory than it saves.
+    or across the expressions evaluated is raised once per binding; given
+    ``shared``, only the powers in it are kept.  Other nodes are computed
+    directly: a product's or a sum's value is large and its node rarely
+    shared, and memoizing them costs more memory than it saves.
     """
     memo: dict[Expr, Numeric] = {}
 
@@ -389,7 +394,8 @@ def _evaluator(bindings: Mapping[str, Numeric]) -> Callable[[Expr], Numeric]:
                 raise ZeroDivisionError(f"zero base raised to exponent {k} during evaluation")
             else:  # int ** -k is a float
                 v = (base if isinstance(base, Fraction) else Fraction(base)) ** k
-            memo[e] = v
+            if shared is None or e in shared:
+                memo[e] = v
             return v
         if isinstance(e, Sum):
             total = 0
@@ -409,10 +415,36 @@ def _evaluator(bindings: Mapping[str, Numeric]) -> Callable[[Expr], Numeric]:
     return value
 
 
+def _distinct_nodes(exprs: Iterable[Expr]) -> tuple[Iterable[Expr], set[Expr]]:
+    """The distinct Symbol, Sum and Power nodes under ``exprs``, and the
+    Power nodes that one evaluator reaches more than once when it evaluates
+    each of ``exprs``.
+
+    Each reach of a Sum or Product reaches its children again; a Power's
+    base is reached once.  Reaches are counted up to two, so no Sum or Power
+    is visited more than twice."""
+    reaches: dict[Expr, int] = {}
+    stack = list(exprs)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Product):
+            stack.extend(e.factors)
+        elif not isinstance(e, Constant):
+            n = reaches.get(e, 0)
+            if n < 2:
+                reaches[e] = n + 1
+                if isinstance(e, Sum):
+                    stack.extend(e.terms)
+                elif isinstance(e, Power) and not n:
+                    stack.append(e.base)
+    return reaches.keys(), {e for e, n in reaches.items() if n > 1 and isinstance(e, Power)}
+
+
 def expand(e: Expr) -> Expr:
     """Distribute products over sums and multiply out non-negative integer
-    powers of sums.  Negative powers are left alone (their bases are still
-    expanded).  Value-preserving; the result is canonical.
+    powers of sums, each as its multinomial sum.  Negative powers are left
+    alone (their bases are still expanded).  Value-preserving; the result is
+    canonical.
     """
     if isinstance(e, (Constant, Symbol)):
         return e
@@ -422,10 +454,13 @@ def expand(e: Expr) -> Expr:
         base = expand(e.base)
         if e.exponent < 0 or not isinstance(base, Sum):
             return _make_power(base, e.exponent)
-        acc: Expr = base
-        for _ in range(e.exponent - 1):
-            acc = _distribute(acc, base)
-        return acc
+        return _make_sum([
+            _make_product([
+                Constant(multinomial(e.exponent, parts)),
+                *(_make_power(t, k) for t, k in zip(base.terms, parts) if k),
+            ])
+            for parts in compositions(e.exponent, len(base.terms))
+        ])
     if isinstance(e, Product):
         acc = ONE
         for f in e.factors:

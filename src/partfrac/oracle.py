@@ -3,9 +3,11 @@
 Two deliberately separate checks:
 
 * :func:`oracle_decompose` — the classical undetermined-coefficients method
-  over exact rationals: build the denominator polynomial, equate
-  coefficients, solve the linear system by Gaussian elimination.  It shares
-  no code with the closed-formula engine, so agreement is meaningful.
+  in integers: clear the roots' denominators once, build each basis
+  polynomial by exact division of the previous one, and solve the linear
+  system by fraction-free (Bareiss) elimination; each coefficient becomes a
+  Fraction only at the end.  It shares no code with the closed-formula
+  engine, so agreement is meaningful.
 * :func:`check_by_substitution` — draw random rational values for every
   symbol (rejecting draws that collide two roots), then compare the original
   rational function against the decomposed sum at random x points.  All
@@ -17,10 +19,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from math import gcd
+from typing import Callable, Mapping, Sequence
 
 from .core import Decomposition, PoleTerm, RationalFunctionSpec
-from .expr import Constant, Expr, Numeric, Power, Product, Sum, Symbol, _evaluator
+from .expr import Constant, Expr, Numeric, Power, Sum, Symbol, _distinct_nodes, _evaluator
 
 __all__ = [
     "DensePolynomial",
@@ -109,24 +112,6 @@ class DensePolynomial:
         return DensePolynomial((-Fraction(root), Fraction(1)))
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Fraction; raises on a singular matrix."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular linear system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
 def oracle_decompose(
     l: int, roots: Sequence[Fraction], mults: Sequence[int]
 ) -> Decomposition:
@@ -135,16 +120,19 @@ def oracle_decompose(
     """
     if l < 0:
         raise ValueError(f"need l >= 0, got l={l}")
-    return _oracle_proper(DensePolynomial.monomial(l), roots, mults)
+    roots, cleared = _cleared_denominator(roots, mults)
+    if l >= len(cleared) - 1:
+        raise ValueError(f"need numerator degree < {len(cleared) - 1}, got {l}")
+    poles = _undetermined_coefficients(l, roots, mults, cleared)[1]
+    terms = tuple(PoleTerm(i, j, Constant(c)) for (i, j), c in poles.items())
+    return Decomposition(tuple(Constant(r) for r in roots), (), terms)
 
 
-def _oracle_proper(
-    numerator: DensePolynomial, roots: Sequence[Fraction], mults: Sequence[int]
-) -> Decomposition:
-    """Decompose numerator(x) / prod (x - roots[i])^mults[i], numerator of
-    degree < sum(mults), with one linear solve whose right-hand side is the
-    numerator's coefficient vector.
-    """
+def _cleared_denominator(
+    roots: Sequence[Fraction], mults: Sequence[int]
+) -> tuple[list[Fraction], list[int]]:
+    """The roots as Fractions, and the integer coefficients, x^0 first, of
+    prod L_k^mults[k] with L_k = q_k*x - p_k for the root p_k/q_k."""
     roots = [Fraction(r) for r in roots]
     if len(roots) != len(mults):
         raise ValueError("roots and multiplicities differ in length")
@@ -152,42 +140,76 @@ def _oracle_proper(
         raise ValueError("roots must be pairwise distinct")
     if any(m < 1 for m in mults):
         raise ValueError("multiplicities must be >= 1")
-    m = sum(mults)
-    if numerator.degree >= m:
-        raise ValueError(f"need numerator degree < {m}, got {numerator.degree}")
+    cleared = [1]
+    for root, mult in zip(roots, mults):
+        for _ in range(mult):
+            cleared = [
+                root.denominator * b - root.numerator * a
+                for a, b in zip(cleared + [0], [0] + cleared)
+            ]
+    return roots, cleared
 
-    # One basis polynomial per unknown c_ij: Q(x) / (x - a_i)^j.
-    columns: list[tuple[int, int, DensePolynomial]] = []
-    for i, (a_i, m_i) in enumerate(zip(roots, mults)):
-        rest = DensePolynomial((Fraction(1),))
-        for k, (a_k, m_k) in enumerate(zip(roots, mults)):
-            if k == i:
-                continue
-            for _ in range(m_k):
-                rest = rest * DensePolynomial.linear_factor(a_k)
-        for j in range(1, m_i + 1):
-            basis = rest
-            for _ in range(m_i - j):
-                basis = basis * DensePolynomial.linear_factor(a_i)
-            columns.append((i, j, basis))
 
-    matrix = [[col.coefficient(row) for _, _, col in columns] for row in range(m)]
-    rhs = [numerator.coefficient(row) for row in range(m)]
-    try:
-        solution = _solve_exact(matrix, rhs)
-    except ArithmeticError as exc:  # cannot happen for distinct roots
-        raise AssertionError(
-            "undetermined-coefficients system was singular despite distinct roots"
-        ) from exc
+def _undetermined_coefficients(
+    l: int, roots: list[Fraction], mults: Sequence[int], cleared: list[int]
+) -> tuple[dict[int, Fraction], dict[tuple[int, int], Fraction]]:
+    """The quotient {degree: coefficient} and the nonzero pole coefficients
+    {(i, j): c_ij} of x^l / Q, where Q = prod (x - roots[i])^mults[i] is
+    ``cleared`` over its leading coefficient S.  Dividing S^e * x^l by
+    ``cleared`` stays in ints for e = max(l - m + 1, 0), and x^l / Q =
+    factors / S^(e-1) + (rest / S^e) / Q.  As cleared / L_i^j equals
+    (S / q_i^j) * Q / (x - roots[i])^j, the integer solve for rest / common
+    gives y_ij = c_ij * q_i^j * D / S with D = S^e / common.
+    """
+    m, lead = len(cleared) - 1, cleared[-1]
+    e = max(l - m + 1, 0)
+    scale = lead**e
+    rest = [0] * max(l + 1, m)
+    rest[l] = scale
+    factors = [0] * e
+    for i in range(l, m - 1, -1):
+        factors[i - m] = factor = rest[i] // lead
+        for j, c in enumerate(cleared):
+            rest[i - m + j] -= factor * c
+    quotient = {k: Fraction(f, lead ** (e - 1)) for k, f in enumerate(factors) if f}
+    common = gcd(scale, *rest[:m])  # D = scale // common: the lcm of the denominators
 
-    poles = [
-        PoleTerm(i, j, Constant(c))
-        for (i, j, _), c in zip(columns, solution)
-        if c != 0
-    ]
-    return Decomposition(
-        roots=tuple(Constant(r) for r in roots), monomials=(), poles=tuple(poles)
-    )
+    keys, columns = [], []
+    for i, (root, mult) in enumerate(zip(roots, mults)):
+        column = cleared
+        for j in range(1, mult + 1):
+            # cleared / L_i^j by exact synthetic division of cleared / L_i^(j-1)
+            below, carry = [0] * (len(column) - 1), 0
+            for k in range(len(column) - 1, 0, -1):
+                carry = below[k - 1] = (column[k] + root.numerator * carry) // root.denominator
+            column = below
+            keys.append((i, j))
+            columns.append(column + [0] * (j - 1))
+    rows = [list(row) for row in zip(*columns, (c // common for c in rest[:m]))]
+    # Fraction-free Gauss-Jordan elimination (Bareiss): every division by the
+    # previous pivot is exact, and at the end each diagonal entry is the last
+    # pivot, the determinant up to sign, and the last column is it times y.
+    previous = 1
+    for k in range(m):
+        found = next((r for r in range(k, m) if rows[r][k]), None)
+        if found is None:  # cannot happen for distinct roots
+            raise AssertionError(
+                "undetermined-coefficients system was singular despite distinct roots"
+            )
+        rows[k], rows[found] = rows[found], rows[k]
+        pivot = rows[k][k]
+        for r in range(m):
+            if r != k:
+                f = rows[r][k]
+                rows[r] = [(pivot * v - f * w) // previous for v, w in zip(rows[r], rows[k])]
+        previous = pivot
+    denominator = previous * (scale // common)
+    poles = {
+        (i, j): Fraction(row[m] * lead, denominator * roots[i].denominator**j)
+        for (i, j), row in zip(keys, rows)
+        if row[m]
+    }
+    return quotient, poles
 
 
 # --- substitution checking ----------------------------------------------------
@@ -219,7 +241,8 @@ def _instantiate(d: Decomposition, value: Callable[[Expr], Numeric]) -> tuple[li
     """The terms of ``d`` under one binding: (degree, coefficient) per
     monomial and (root, order, coefficient) per pole."""
     monomials = [(m.degree, value(m.coefficient)) for m in d.monomials]
-    poles = [(value(d.roots[p.pole_index]), p.order, value(p.coefficient)) for p in d.poles]
+    roots = [value(root) for root in d.roots]
+    poles = [(roots[p.pole_index], p.order, value(p.coefficient)) for p in d.poles]
     return monomials, poles
 
 
@@ -288,19 +311,20 @@ def check_by_substitution(
     Each trial draws one set of symbol bindings (redrawn if two roots
     collide) and ``points_per_trial`` x values avoiding all poles.  Stops at
     the first counterexample.  All expressions are evaluated through one
-    memo per binding.  Raises :class:`TooLargeToVerify` before evaluating
+    memo per binding, which keeps the powers evaluation reaches more than
+    once.  Raises :class:`TooLargeToVerify` before evaluating
     anything when a power would reach a number of more than ``_MAX_BITS``
     bits.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    names = _symbol_names(spec, d)
+    names, shared = _symbols_and_shared_powers(spec, d)
     rng = random.Random(seed)
     checked = 0
     for _ in range(trials):
         for _ in range(100):
             bindings = {name: _random_fraction(rng) for name in names}
-            value = _evaluator(bindings)  # one memo per binding
+            value = _evaluator(bindings, shared)  # one memo per binding
             spec_roots = [value(root) for root in spec.roots]
             if len(set(spec_roots)) == len(spec_roots):
                 break
@@ -325,11 +349,14 @@ def check_by_substitution(
     return SubstitutionReport(True, trials, checked, None)
 
 
-def _symbol_names(spec: RationalFunctionSpec, d: Decomposition) -> list[str]:
-    """The sorted symbol names of ``spec`` and ``d``, found in one walk that
-    visits each distinct node once.  Refuses, before anything is evaluated,
-    a power whose value would have more than ``_MAX_BITS`` bits."""
-    nodes = _distinct_nodes(
+def _symbols_and_shared_powers(
+    spec: RationalFunctionSpec, d: Decomposition
+) -> tuple[list[str], set[Expr]]:
+    """The sorted symbol names of ``spec`` and ``d``, and the Power nodes
+    that one substitution trial evaluates more than once.  Refuses, before
+    anything is evaluated, a power whose value would have more than
+    ``_MAX_BITS`` bits."""
+    nodes, shared = _distinct_nodes(
         (*spec.roots, *d.roots, *(t.coefficient for t in (*d.monomials, *d.poles)))
     )
     memo: dict[Expr, int] = {}
@@ -339,24 +366,7 @@ def _symbol_names(spec: RationalFunctionSpec, d: Decomposition) -> list[str]:
             f"substitution would evaluate numbers of about {largest} bits, "
             f"more than the limit of {_MAX_BITS}"
         )
-    return sorted(e.name for e in nodes if isinstance(e, Symbol))
-
-
-def _distinct_nodes(exprs: Iterable[Expr]) -> set[Expr]:
-    """The Symbol, Sum and Power nodes under ``exprs``, each visited once."""
-    seen: set[Expr] = set()
-    stack = list(exprs)
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Product):
-            stack.extend(e.factors)
-        elif not isinstance(e, Constant) and e not in seen:
-            seen.add(e)
-            if isinstance(e, Sum):
-                stack.extend(e.terms)
-            elif isinstance(e, Power):
-                stack.append(e.base)
-    return seen
+    return sorted(e.name for e in nodes if isinstance(e, Symbol)), shared
 
 
 def _bits(e: Expr, memo: dict[Expr, int]) -> int:
@@ -377,30 +387,20 @@ def _bits(e: Expr, memo: dict[Expr, int]) -> int:
 
 def compare_with_oracle(spec: RationalFunctionSpec, d: Decomposition) -> str | None:
     """Exact term-for-term comparison against the undetermined-coefficients
-    oracle.  Requires all-rational roots.  Classical dense long division
-    splits off the quotient (empty for proper inputs) and the remainder is
-    decomposed with one linear solve, so no step shares code with the
-    closed-formula engine.  Returns None on agreement, else a mismatch
-    description.
+    oracle.  Requires all-rational roots.  Long division by the cleared
+    denominator splits off the quotient (empty for proper inputs) and the
+    remainder is decomposed with one integer, fraction-free linear solve, so
+    no step shares code with the closed-formula engine.  Returns None on
+    agreement, else a mismatch description.
     """
     if not all(isinstance(root, Constant) for root in spec.roots):
         raise ValueError("oracle comparison requires all-rational roots")
-    roots = [root.value for root in spec.roots]
-    mults = list(spec.multiplicities)
-    l = spec.numerator_degree
-
-    denominator = DensePolynomial((Fraction(1),))
-    for root, mult in zip(roots, mults):
-        for _ in range(mult):
-            denominator = denominator * DensePolynomial.linear_factor(root)
-    quotient, remainder = divmod(DensePolynomial.monomial(l), denominator)
-    want_monomials = {
-        degree: coeff for degree, coeff in enumerate(quotient.coefficients) if coeff != 0
-    }
-    want_poles = {
-        (p.pole_index, p.order): p.coefficient.value
-        for p in _oracle_proper(remainder, roots, mults).poles
-    }
+    roots, cleared = _cleared_denominator(
+        [root.value for root in spec.roots], spec.multiplicities
+    )
+    want_monomials, want_poles = _undetermined_coefficients(
+        spec.numerator_degree, roots, spec.multiplicities, cleared
+    )
 
     for term in (*d.monomials, *d.poles):
         if not isinstance(term.coefficient, Constant):

@@ -161,6 +161,19 @@ def test_work_without_bound_ends_in_one_line(in_tmp, capsys):
     assert (in_tmp / "result.out").read_text() == out
 
 
+def test_roots_too_large_to_compare_end_in_one_line(in_tmp, capsys):
+    # both roots are 496 terms over 496: comparing them would multiply out
+    # 2 * 496 * 496 pairs of terms
+    roots = "(a+b+c)^30/(a+b+d)^30,(a+c+d)^30/(b+c+d)^30"
+    code, out, err = run_cli(capsys, "0,1,1", roots)
+    assert code == 1 and out == ""
+    assert err == (
+        "partfrac: error: roots 1 and 2 are too large to compare: cross-multiplying "
+        "them takes more than 10000 term products\n"
+    )
+    assert os.listdir(in_tmp) == []
+
+
 def test_output_through_a_symlink_replaces_its_target(in_tmp, capsys):
     real_dir = in_tmp / "real"
     real_dir.mkdir()

@@ -32,6 +32,7 @@ from partfrac import (
     symbols,
 )
 from partfrac.core import MAX_EXPANDED_TERMS, _expanded_terms, _numerator_denominator
+from partfrac.expr import _distinct_nodes
 from helpers import random_rational_spec, random_symbolic_spec
 from test_expr import _canonical_or_skip, raw_trees
 
@@ -508,5 +509,19 @@ def test_integral_coefficients_make_no_python_level_fraction_calls(fraction_call
     assert report.passed
     coefficients = [t.coefficient for t in (*d.monomials, *d.poles)]
     powers = _power_nodes([*spec.roots, *coefficients])
+    x_side = 1 + len(spec.factors) + len(d.monomials) + len(d.poles)
+    assert fraction_calls["__pow__"] == len(powers) + x_side
+
+    # only powers reached more than once are memoized: a^2 is reached once
+    # through each of (a^2 + b)^-2 and (a^2 + b)^-3, as sums are not memoized
+    assert _distinct_nodes([a**2 + b, c**3])[1] == set()
+    assert _distinct_nodes([(a**2 + b) ** -2, (a**2 + b) ** -3])[1] == {a**2}
+    # a memoized power's base is evaluated once
+    assert _distinct_nodes([(a**2 + b) ** -2, c * (a**2 + b) ** -2])[1] == {(a**2 + b) ** -2}
+    spec = RationalFunctionSpec(1, (((a**2 + b) ** -2, 2), ((a**2 + b) ** -3, 1), (c, 1)))
+    d = decompose(spec)
+    fraction_calls.clear()
+    assert check_by_substitution(spec, d, trials=1, seed=5).passed
+    powers = _power_nodes([*spec.roots, *(t.coefficient for t in (*d.monomials, *d.poles))])
     x_side = 1 + len(spec.factors) + len(d.monomials) + len(d.poles)
     assert fraction_calls["__pow__"] == len(powers) + x_side

@@ -211,6 +211,28 @@ def test_expand_preserves_value(tree, seed):
         assert evaluate(expanded, bindings) == before
 
 
+def _expand_power_by_repeated_products(base, k):
+    """Reference for expand(base**k): the expanded base multiplied in k
+    times, every term by every term."""
+    base = expand(base)
+    terms = base.terms if isinstance(base, Sum) else (base,)
+    acc = ONE
+    for _ in range(k):
+        acc_terms = acc.terms if isinstance(acc, Sum) else (acc,)
+        acc = sum_of(product_of([u, v]) for u in acc_terms for v in terms)
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(raw_trees, min_size=2, max_size=4), st.integers(0, 5))
+def test_expand_power_of_sum_matches_repeated_products(trees, k):
+    base = _canonical_or_skip(Sum(tuple(trees)))
+    expanded = expand(base)
+    # the reference multiplies out up to t^k term pairs
+    assume(not isinstance(expanded, Sum) or len(expanded.terms) <= 6)
+    assert expand(base**k) == _expand_power_by_repeated_products(base, k)
+
+
 # --- misc ----------------------------------------------------------------------
 
 

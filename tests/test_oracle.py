@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partfrac import (
     Constant,
@@ -172,6 +174,62 @@ def test_compare_with_oracle_mismatch_message_prints_values_as_text():
     assert compare_with_oracle(spec, wrong_pole) == (
         "coefficient mismatch at factor 1 order 1: engine=2 oracle=1"
     )
+
+
+def test_oracle_makes_one_fraction_per_result(monkeypatch):
+    # 6 rational roots of multiplicity 3 (m = 18).  The integer solve makes a
+    # Fraction per root and per nonzero term; elimination over Fraction made
+    # more than 17,000.
+    roots = [Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3), Fraction(7), Fraction(-2, 5), 0]
+    construct = Fraction.__new__
+    for l in (0, 20):
+        spec = RationalFunctionSpec(l, tuple((Constant(r), 3) for r in roots))
+        d = decompose(spec)
+        made = []
+
+        def counted(cls, *args, **kwargs):
+            made.append(None)
+            return construct(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", staticmethod(counted))
+            assert compare_with_oracle(spec, d) is None
+        assert 0 < len(made) <= 200
+
+
+def _product(polynomials) -> DensePolynomial:
+    out = DensePolynomial((Fraction(1),))
+    for p in polynomials:
+        out = out * p
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_oracle_agrees_with_terms_that_multiply_back_to_the_numerator(data):
+    # quotient*Q + sum c_ij*Q/(x - a_i)^j == x^l, checked by dense polynomial
+    # products alone, for the terms the oracle agrees with
+    roots = data.draw(st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=7),
+        min_size=1, max_size=4, unique=True,
+    ))
+    mults = data.draw(st.lists(st.integers(1, 4), min_size=len(roots), max_size=len(roots)))
+    l = data.draw(st.integers(0, sum(mults) + 3))
+    spec = RationalFunctionSpec(l, tuple((Constant(r), k) for r, k in zip(roots, mults)))
+    d = decompose(spec)
+    assert compare_with_oracle(spec, d) is None
+
+    linear = [DensePolynomial.linear_factor(r) for r in roots]
+    q = _product(f for f, k in zip(linear, mults) for _ in range(k))
+    total = DensePolynomial(())
+    for t in d.monomials:
+        total = total + DensePolynomial.monomial(t.degree, t.coefficient.value) * q
+    for p in d.poles:
+        rest = list(mults)
+        rest[p.pole_index] -= p.order
+        cofactor = _product(f for f, k in zip(linear, rest) for _ in range(k))
+        total = total + DensePolynomial((p.coefficient.value,)) * cofactor
+    assert total == DensePolynomial.monomial(l)
 
 
 def test_substitution_refuses_numbers_too_long_to_evaluate():

@@ -41,7 +41,6 @@ from .expr import (
 )
 from .oracle import (
     Counterexample,
-    DensePolynomial,
     SubstitutionReport,
     TooLargeToVerify,
     check_by_substitution,

@@ -9,15 +9,16 @@ decomposition variable is always ``x``; roots therefore must not mention
 temporary name in the same directory and renamed into place when complete,
 so a failed write leaves no partial result.
 
-Exit status: 0 success, 1 usage or input error, 2 verification failure.  A
-result whose verification would evaluate numbers too long to handle exactly
-is written, then refused with exit status 1.
+Exit status: 0 success, 1 usage or input error (one line on stderr), 2
+verification failure.  A result whose verification would evaluate numbers
+too long to handle exactly is written, then refused with exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import itertools
 import os
 import shutil
@@ -191,9 +192,13 @@ def run(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        ns = ap.parse_args(_rearrange(argv))
-    except SystemExit as exc:  # argparse already printed its message
-        return 0 if exc.code in (0, None) else 1
+        with contextlib.redirect_stderr(io.StringIO()) as usage:
+            ns = ap.parse_args(_rearrange(argv))
+    except SystemExit as exc:  # argparse printed the usage, then its message
+        if exc.code in (0, None):
+            return 0
+        print(usage.getvalue().splitlines()[-1], file=sys.stderr)
+        return 1
 
     try:
         if ns.verify is not None and ns.verify < 1:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Container, Iterable, Iterator, Mapping, Union
+from typing import Callable, Container, Iterable, Mapping, Union
 
 from .combinatorics import compositions, multinomial
 
@@ -383,10 +383,10 @@ def _evaluator(
                 total *= value(f)
             return total
         if isinstance(e, Power):
-            try:
-                return memo[e]
-            except KeyError:
-                pass
+            kept = shared is None or e in shared
+            v = memo.get(e) if kept else None
+            if v is not None:
+                return v
             base, k = value(e.base), e.exponent
             if k >= 0:
                 v = base**k
@@ -394,7 +394,7 @@ def _evaluator(
                 raise ZeroDivisionError(f"zero base raised to exponent {k} during evaluation")
             else:  # int ** -k is a float
                 v = (base if isinstance(base, Fraction) else Fraction(base)) ** k
-            if shared is None or e in shared:
+            if kept:
                 memo[e] = v
             return v
         if isinstance(e, Sum):
@@ -477,17 +477,4 @@ def _distribute(u: Expr, v: Expr) -> Expr:
 
 def symbols_in(e: Expr) -> frozenset[str]:
     """Names of all symbols occurring in ``e``."""
-    return frozenset(_iter_symbols(e))
-
-
-def _iter_symbols(e: Expr) -> Iterator[str]:
-    if isinstance(e, Symbol):
-        yield e.name
-    elif isinstance(e, Sum):
-        for t in e.terms:
-            yield from _iter_symbols(t)
-    elif isinstance(e, Product):
-        for f in e.factors:
-            yield from _iter_symbols(f)
-    elif isinstance(e, Power):
-        yield from _iter_symbols(e.base)
+    return frozenset(n.name for n in _distinct_nodes((e,))[0] if isinstance(n, Symbol))

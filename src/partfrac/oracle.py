@@ -26,7 +26,6 @@ from .core import Decomposition, PoleTerm, RationalFunctionSpec
 from .expr import Constant, Expr, Numeric, Power, Sum, Symbol, _distinct_nodes, _evaluator
 
 __all__ = [
-    "DensePolynomial",
     "oracle_decompose",
     "rational_function_value",
     "decomposition_value",
@@ -36,80 +35,6 @@ __all__ = [
     "check_by_substitution",
     "compare_with_oracle",
 ]
-
-
-@dataclass(frozen=True)
-class DensePolynomial:
-    """Dense polynomial over Fraction; coefficients[i] is the x^i coefficient.
-
-    Normalized so the leading coefficient is nonzero; the zero polynomial has
-    no coefficients at all.
-    """
-
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1  # -1 for the zero polynomial
-
-    def coefficient(self, degree: int) -> Fraction:
-        if 0 <= degree < len(self.coefficients):
-            return self.coefficients[degree]
-        return Fraction(0)
-
-    def __add__(self, other: "DensePolynomial") -> "DensePolynomial":
-        n = max(len(self.coefficients), len(other.coefficients))
-        return DensePolynomial(
-            tuple(self.coefficient(i) + other.coefficient(i) for i in range(n))
-        )
-
-    def __mul__(self, other: "DensePolynomial") -> "DensePolynomial":
-        if not self.coefficients or not other.coefficients:
-            return DensePolynomial(())
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return DensePolynomial(tuple(out))
-
-    def __divmod__(self, divisor: "DensePolynomial") -> tuple["DensePolynomial", "DensePolynomial"]:
-        if not divisor.coefficients:
-            raise ZeroDivisionError("polynomial division by zero")
-        remainder = list(self.coefficients)
-        dd = divisor.degree
-        lead = divisor.coefficients[-1]
-        quotient = [Fraction(0)] * max(len(remainder) - dd, 0)
-        for i in range(len(remainder) - 1, dd - 1, -1):
-            factor = remainder[i] / lead
-            if factor == 0:
-                continue
-            quotient[i - dd] = factor
-            for j, c in enumerate(divisor.coefficients):
-                remainder[i - dd + j] -= factor * c
-        return DensePolynomial(tuple(quotient)), DensePolynomial(tuple(remainder[:dd]))
-
-    def __call__(self, x: Fraction) -> Fraction:
-        total = Fraction(0)
-        for c in reversed(self.coefficients):
-            total = total * x + c
-        return total
-
-    @staticmethod
-    def monomial(degree: int, coefficient: Fraction = Fraction(1)) -> "DensePolynomial":
-        if degree < 0:
-            raise ValueError(f"monomial degree must be >= 0, got {degree}")
-        return DensePolynomial((Fraction(0),) * degree + (Fraction(coefficient),))
-
-    @staticmethod
-    def linear_factor(root: Fraction) -> "DensePolynomial":
-        """x - root"""
-        return DensePolynomial((-Fraction(root), Fraction(1)))
 
 
 def oracle_decompose(

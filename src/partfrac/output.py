@@ -214,9 +214,9 @@ class StreamBuffer:
     """
 
     capacity: int = 65536
-    pending: bytearray = field(default_factory=bytearray)
-    peak_pending: int = 0
-    flush_count: int = 0
+    pending: bytearray = field(default_factory=bytearray, init=False)
+    peak_pending: int = field(default=0, init=False)
+    flush_count: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.capacity < 1:

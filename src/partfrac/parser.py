@@ -41,11 +41,13 @@ def _max_digits() -> int:
 def _refuse_long_power(base: Expr, n: int, span: SourceSpan) -> None:
     """Refuse base^n when its rational part would be too long to render,
     before computing it: (p/q)^n has about |n| * log10(max(|p|, q)) digits
-    in its numerator or denominator."""
+    in its numerator or denominator.  |n| is compared with a float bound,
+    which Python does exactly for an int of any size."""
     head = base.factors[0] if isinstance(base, Product) else base
     if isinstance(head, Constant):
         v, limit = head.value, _max_digits()
-        if abs(n) * math.log10(max(abs(v.numerator), v.denominator)) >= limit:
+        largest = max(abs(v.numerator), v.denominator)
+        if largest > 1 and abs(n) >= limit / math.log10(largest):
             raise ParseError(f"constant power has more than {limit} digits", span)
 
 

@@ -137,6 +137,15 @@ def test_huge_integers_end_in_one_line(in_tmp, capsys):
         assert err.count("\n") == 1 and "Traceback" not in err, root
         assert "more than 4300 digits (at offset 0..10)" in err, root
         assert os.listdir(in_tmp) == [], root
+    # exponents too large for a float are compared exactly
+    for root, span in (("2^3^4^5", "0..7"), ("(2*a)^(3^4^5)", "0..13")):
+        code, out, err = run_cli(capsys, "0,1", root)
+        assert code == 1 and out == "", root
+        assert err.count("\n") == 1 and "Traceback" not in err, root
+        assert f"more than 4300 digits (at offset {span})" in err, root
+        assert os.listdir(in_tmp) == [], root
+    assert run_cli(capsys, "0,1", "(-1)^(3^4^5)")[:2] == (0, "(x + 1)^(-1)\n")
+    os.remove(in_tmp / "result.out")
     # the root renders, but the quotient coefficients 10^(500*j) do not
     for quiet in ((), ("--quiet",)):
         code, out, err = run_cli(capsys, *quiet, "10,1", "10^500")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from partfrac import (
     Constant,
     Decomposition,
-    DensePolynomial,
     DuplicateRootError,
     MonomialTerm,
     PoleTerm,
@@ -25,61 +24,6 @@ from partfrac import (
 from helpers import distinct_rationals, random_rational_spec
 
 a, b = symbols("a b")
-
-
-# --- dense polynomial helpers ----------------------------------------------------
-
-
-def test_polynomial_normalization():
-    p = DensePolynomial((Fraction(1), Fraction(2), Fraction(0), Fraction(0)))
-    assert p.degree == 1
-    assert DensePolynomial((Fraction(0),)).degree == -1
-    assert DensePolynomial(()).coefficients == ()
-
-
-def test_polynomial_multiply_divide_round_trip():
-    rng = random.Random(61)
-    for _ in range(40):
-        A = DensePolynomial(
-            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 5)))
-        )
-        B = DensePolynomial(
-            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 5)))
-        )
-        if B.degree < 0:
-            continue
-        quotient, remainder = divmod(A * B, B)
-        assert quotient == A
-        assert remainder.degree == -1
-
-
-def test_polynomial_division_with_remainder():
-    rng = random.Random(62)
-    for _ in range(30):
-        A = DensePolynomial(
-            tuple(Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(1, 7)))
-        )
-        B = DensePolynomial(
-            tuple(Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(1, 4)))
-        )
-        if B.degree < 0:
-            continue
-        quotient, remainder = divmod(A, B)
-        assert remainder.degree < B.degree
-        assert quotient * B + remainder == A
-
-
-def test_polynomial_evaluation_horner():
-    p = DensePolynomial((Fraction(1), Fraction(-2), Fraction(3)))  # 3x^2 - 2x + 1
-    assert p(Fraction(2)) == 9
-    assert p(Fraction(0)) == 1
-
-
-def test_monomial_rejects_negative_degree():
-    assert DensePolynomial.monomial(0).coefficients == (Fraction(1),)
-    assert DensePolynomial.monomial(2, Fraction(3)).coefficients == (0, 0, 3)
-    with pytest.raises(ValueError, match="degree"):
-        DensePolynomial.monomial(-1)
 
 
 # --- undetermined coefficients ----------------------------------------------------
@@ -197,17 +141,19 @@ def test_oracle_makes_one_fraction_per_result(monkeypatch):
         assert 0 < len(made) <= 200
 
 
-def _product(polynomials) -> DensePolynomial:
-    out = DensePolynomial((Fraction(1),))
-    for p in polynomials:
-        out = out * p
+def _expanded(coefficient, roots, mults, shift=0) -> list:
+    """Coefficients, x^0 first, of coefficient * x^shift * prod (x - roots[i])^mults[i]."""
+    out = [0] * shift + [coefficient]
+    for root, k in zip(roots, mults):
+        for _ in range(k):
+            out = [b - root * a for a, b in zip(out + [0], [0] + out)]
     return out
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_oracle_agrees_with_terms_that_multiply_back_to_the_numerator(data):
-    # quotient*Q + sum c_ij*Q/(x - a_i)^j == x^l, checked by dense polynomial
+    # quotient*Q + sum c_ij*Q/(x - a_i)^j == x^l, checked by coefficient-list
     # products alone, for the terms the oracle agrees with
     roots = data.draw(st.lists(
         st.fractions(min_value=-9, max_value=9, max_denominator=7),
@@ -219,17 +165,16 @@ def test_oracle_agrees_with_terms_that_multiply_back_to_the_numerator(data):
     d = decompose(spec)
     assert compare_with_oracle(spec, d) is None
 
-    linear = [DensePolynomial.linear_factor(r) for r in roots]
-    q = _product(f for f, k in zip(linear, mults) for _ in range(k))
-    total = DensePolynomial(())
-    for t in d.monomials:
-        total = total + DensePolynomial.monomial(t.degree, t.coefficient.value) * q
+    terms = [_expanded(t.coefficient.value, roots, mults, t.degree) for t in d.monomials]
     for p in d.poles:
         rest = list(mults)
         rest[p.pole_index] -= p.order
-        cofactor = _product(f for f, k in zip(linear, rest) for _ in range(k))
-        total = total + DensePolynomial((p.coefficient.value,)) * cofactor
-    assert total == DensePolynomial.monomial(l)
+        terms.append(_expanded(p.coefficient.value, roots, rest))
+    total = [0] * max(l + 1, sum(mults))
+    for term in terms:
+        for i, c in enumerate(term):
+            total[i] += c
+    assert total == [int(i == l) for i in range(len(total))]
 
 
 def test_substitution_refuses_numbers_too_long_to_evaluate():

@@ -176,12 +176,16 @@ def test_constant_powers_too_long_to_render_are_refused_up_front(monkeypatch):
         ("3^99999999", (0, 10)),  # refused before the power is computed
         ("(3*a)^99999999", (0, 14)),
         ("(2/3)^(-99999)", (0, 14)),
+        ("2^3^4^5", (0, 7)),  # the exponent 3^1024 is too large for a float
+        ("(2*a)^(3^4^5)", (0, 13)),
     ):
         with pytest.raises(ParseError) as err:
             parse_expr(src)
         assert "digits" in err.value.message, src
         assert (err.value.span.start, err.value.span.end) == span, src
     assert parse_expr("1^99999999") == Constant(1)
+    assert parse_expr("1^(3^4^5)") == Constant(1)
+    assert parse_expr("(-1)^(3^4^5)") == Constant(-1)
     assert parse_expr("a^99999999") == a**99999999
     with pytest.raises(ParseError) as err:
         parse_root_list("a, " + "7" * 4301)

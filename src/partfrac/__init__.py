@@ -7,7 +7,7 @@ form as products of powers of root differences; no symbolic differentiation
 or polynomial factorization is involved.
 """
 
-from .combinatorics import Rational, binomial, compositions, multinomial
+from .combinatorics import binomial, compositions, multinomial
 from .core import (
     Decomposition,
     DuplicateRootError,

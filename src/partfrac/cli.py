@@ -9,6 +9,13 @@ decomposition variable is always ``x``; roots therefore must not mention
 temporary name in the same directory and renamed into place when complete,
 so a failed write leaves no partial result.
 
+Options may stand before, between or after the positionals and must be
+spelled in full (``--verify 3``, or ``--format=structured``).  Any argument
+that reads as an option is one, so ``-h`` anywhere prints the help; a root
+or exponent list that reads as an option, such as the root ``-h``, goes after
+``--``.  Every other argument is a positional, even one starting with ``-``
+or ``--`` (``partfrac 0,1 --a`` decomposes the root ``--a``, that is ``a``).
+
 Exit status: 0 success, 1 usage or input error (one line on stderr), 2
 verification failure.  A result whose verification would evaluate numbers
 too long to handle exactly is written, then refused with exit status 1.
@@ -25,25 +32,40 @@ import shutil
 import sys
 from typing import Sequence
 
-from .core import DuplicateRootError, RationalFunctionSpec, decompose
+from .core import RationalFunctionSpec, decompose
 from .expr import Constant
 from .oracle import TooLargeToVerify, check_by_substitution, compare_with_oracle
-from .output import (
-    OutputFormat,
-    StreamBuffer,
-    StreamWriteError,
-    term_chunks,
-    write_streaming,
-)
-from .parser import ParseError, parse_root_list
+from .output import OutputFormat, StreamBuffer, term_chunks, write_streaming
+from .parser import parse_root_list
 
 __all__ = ["build_arg_parser", "run", "main"]
 
 _VERIFY_SEED = 271828  # fixed so failures reproduce
 
 
-class UsageError(ValueError):
-    pass
+# Every option, as the keywords of its add_argument call.  The parser is built
+# from this table and _rearrange reads it, so the two cannot disagree.
+_OPTIONS = {
+    ("-h", "--help"): dict(action="help", help="show this help message and exit"),
+    ("--format",): dict(
+        choices=("infix", "structured"), default="infix", help="output mode (default: infix)"
+    ),
+    ("--expand",): dict(
+        action="store_true", help="expand coefficient products over sums in the output"
+    ),
+    ("--verify",): dict(
+        type=int,
+        metavar="N",
+        help="check the result by N random substitutions (plus the exact "
+        "undetermined-coefficients oracle when all roots are rational)",
+    ),
+    ("--output",): dict(
+        default="result.out",
+        metavar="PATH",
+        help="output file, overwritten if present (default: result.out)",
+    ),
+    ("--quiet",): dict(action="store_true", help="suppress stdout result"),
+}
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -53,55 +75,28 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "Exact partial fraction decomposition of x^l / ((x-a_1)^(m_1) * ... * "
             "(x-a_n)^(m_n)) with symbolic or rational roots."
         ),
-        epilog='example: partfrac "3,5,7,11" "a1,a2,a3"',
+        epilog='example: partfrac "3,5,7,11" "a1,a2,a3".  Options are spelled in '
+        "full; arguments after -- are never options (partfrac 0,1 -- -h).",
+        add_help=False,
+        allow_abbrev=False,
     )
     ap.add_argument(
         "exponents",
         help="comma-separated integers l,m_1,...,m_n: numerator exponent then multiplicities",
     )
     ap.add_argument("roots", help="comma-separated roots a_1,...,a_n (expressions without x)")
-    ap.add_argument(
-        "--format",
-        choices=("infix", "structured"),
-        default="infix",
-        help="output mode (default: infix)",
-    )
-    ap.add_argument(
-        "--expand",
-        action="store_true",
-        help="expand coefficient products over sums in the output",
-    )
-    ap.add_argument(
-        "--verify",
-        type=int,
-        metavar="N",
-        help="check the result by N random substitutions (plus the exact "
-        "undetermined-coefficients oracle when all roots are rational)",
-    )
-    ap.add_argument(
-        "--buffer-capacity",
-        type=int,
-        default=65536,
-        metavar="BYTES",
-        help="streaming buffer capacity for the output file (default: 65536)",
-    )
-    ap.add_argument(
-        "--output",
-        default="result.out",
-        metavar="PATH",
-        help="output file, overwritten if present (default: result.out)",
-    )
-    ap.add_argument("--quiet", action="store_true", help="suppress stdout result")
+    for names, keywords in _OPTIONS.items():
+        ap.add_argument(*names, **keywords)
     return ap
 
 
-_VALUE_FLAGS = {"--format", "--verify", "--buffer-capacity", "--output"}
-_BOOL_FLAGS = {"--expand", "--quiet", "-h", "--help"}
-
-
 def _rearrange(argv: Sequence[str]) -> list[str]:
-    """Move flags ahead of positionals and shield the positionals behind '--'
-    so roots like "-1,-2,-3" are not mistaken for options."""
+    """Move options ahead of positionals and shield the positionals behind
+    '--', so roots like "-1,-2,-3" or "--a" are not mistaken for options.  A
+    token is an option only when it is one of the option strings, in full,
+    or "--name=value" for one of them."""
+    # an option with an action (help, store_true) takes no value
+    takes_value = {s: "action" not in kw for names, kw in _OPTIONS.items() for s in names}
     flags: list[str] = []
     positionals: list[str] = []
     i = 0
@@ -110,9 +105,10 @@ def _rearrange(argv: Sequence[str]) -> list[str]:
         if tok == "--":
             positionals.extend(argv[i + 1 :])
             break
-        if tok in _BOOL_FLAGS or tok.startswith("--"):
+        name, eq, _ = tok.partition("=")
+        if name in takes_value:
             flags.append(tok)
-            if tok in _VALUE_FLAGS and i + 1 < len(argv):
+            if takes_value[name] and not eq and i + 1 < len(argv):
                 i += 1
                 flags.append(argv[i])
         else:
@@ -124,13 +120,13 @@ def _rearrange(argv: Sequence[str]) -> list[str]:
 def _parse_exponents(src: str) -> tuple[int, list[int]]:
     entries = [e.strip() for e in src.split(",")]
     if any(not e for e in entries):
-        raise UsageError(f"empty entry in exponent list {src!r}")
+        raise ValueError(f"empty entry in exponent list {src!r}")
     try:
         values = [int(e) for e in entries]
     except ValueError:
-        raise UsageError(f"exponent list must contain only integers, got {src!r}") from None
+        raise ValueError(f"exponent list must contain only integers, got {src!r}") from None
     if len(values) < 2:
-        raise UsageError(
+        raise ValueError(
             "exponent list needs the numerator exponent and at least one multiplicity"
         )
     return values[0], values[1:]
@@ -140,14 +136,14 @@ def _build_spec(exponents_src: str, roots_src: str) -> RationalFunctionSpec:
     l, mults = _parse_exponents(exponents_src)
     roots = parse_root_list(roots_src)
     if len(roots) != len(mults):
-        raise UsageError(
+        raise ValueError(
             f"{len(mults) + 1} exponent entries require {len(mults)} roots, "
             f"{len(roots)} given"
         )
     return RationalFunctionSpec(l, tuple(zip(roots, mults)))
 
 
-def _write_result(path: str, chunks, capacity: int) -> None:
+def _write_result(path: str, chunks) -> None:
     """Stream ``chunks`` to a temporary file beside ``path``, then rename it
     to ``path``.  Symbolic links are followed first, so the file they point
     to is replaced and keeps its permission bits.  Replacing by rename needs
@@ -162,7 +158,7 @@ def _write_result(path: str, chunks, capacity: int) -> None:
         tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as sink:
-            write_streaming(chunks, sink, StreamBuffer(capacity=capacity))
+            write_streaming(chunks, sink, StreamBuffer())
         if tmp != path:
             if os.path.exists(path):
                 shutil.copymode(path, tmp)
@@ -202,11 +198,9 @@ def run(argv: Sequence[str] | None = None) -> int:
 
     try:
         if ns.verify is not None and ns.verify < 1:
-            raise UsageError("--verify needs a positive trial count")
-        if ns.buffer_capacity < 1:
-            raise UsageError("--buffer-capacity must be >= 1")
+            raise ValueError("--verify needs a positive trial count")
         spec = _build_spec(ns.exponents, ns.roots)
-    except (UsageError, ParseError, DuplicateRootError, ValueError) as err:
+    except ValueError as err:
         print(f"partfrac: error: {err}", file=sys.stderr)
         return 1
 
@@ -220,8 +214,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         if not ns.quiet:
             chunks = list(chunks)
-        _write_result(ns.output, chunks, ns.buffer_capacity)
-    except (OSError, StreamWriteError) as err:
+        _write_result(ns.output, chunks)
+    except OSError as err:
         print(f"partfrac: error: cannot write {ns.output!r}: {err}", file=sys.stderr)
         return 1
     except ValueError as err:  # an integer too long to convert to text

@@ -8,16 +8,10 @@ multinomial coefficients, and enumeration of weak compositions.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator, Sequence
 
-# All numeric coefficients in the package are exact rationals: reduced,
-# positive denominator, zero represented as 0/1.  Fraction guarantees all
-# three, so it *is* our Rational type.
-Rational = Fraction
-
-__all__ = ["Rational", "binomial", "multinomial", "compositions"]
+__all__ = ["binomial", "multinomial", "compositions"]
 
 
 def binomial(n: int, k: int) -> int:

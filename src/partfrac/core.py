@@ -260,13 +260,14 @@ def _pole_contributions(
     :func:`proper_contributions` to x^l / Q for each l in ``degrees``; with
     ``residues_only``, only those of order 1 (the residues)."""
     roots, mults, n = spec.roots, spec.multiplicities, len(spec.factors)
+    top = max(degrees)  # degrees may be a long range
     for i in range(n):
         a_i = roots[i]
         others = [(roots[k], mults[k]) for k in range(n) if k != i]
         diffs = [a_i - a_k for a_k, _ in others]  # reused across compositions
         for comp in compositions(mults[i] - 1, n + 1):
             j_num, j_pole = comp[0], comp[1]
-            if j_num > max(degrees) or (residues_only and j_pole):
+            if j_num > top or (residues_only and j_pole):
                 continue
             rest, parts = 1, []
             for (a_k, m_k), diff, j_k in zip(others, diffs, comp[2:]):

@@ -190,10 +190,13 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class SubstitutionReport:
-    passed: bool
     trials: int
     points_checked: int
     counterexample: Counterexample | None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def __str__(self) -> str:
         if self.passed:
@@ -268,10 +271,9 @@ def check_by_substitution(
             checked += 1
             if original != decomposed:
                 return SubstitutionReport(
-                    False, trials, checked,
-                    Counterexample(bindings, x, original, decomposed),
+                    trials, checked, Counterexample(bindings, x, original, decomposed)
                 )
-    return SubstitutionReport(True, trials, checked, None)
+    return SubstitutionReport(trials, checked, None)
 
 
 def _symbols_and_shared_powers(

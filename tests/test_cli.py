@@ -90,10 +90,26 @@ def test_bad_exponent_lists(in_tmp, capsys):
 
 def test_help_exits_0(in_tmp, capsys):
     assert run_cli(capsys, "-h")[0] == 0
+    # -h is an option wherever it stands; the root -h goes after "--"
+    code, out, _ = run_cli(capsys, "0,1", "-h")
+    assert code == 0 and out.startswith("usage: partfrac")
+    assert os.listdir(in_tmp) == []
 
 
 def test_unknown_flag_exits_1(in_tmp, capsys):
-    assert run_cli(capsys, "--bogus", "0,1", "a")[0] == 1
+    # unknown options, abbreviations of known ones included
+    for argv in (["--bogus", "0,1", "a"], ["--verif", "3", "0,1", "a"],
+                 ["--buffer-capacity", "8", "0,1", "a"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("partfrac: error: ") and err.count("\n") == 1, argv
+        assert os.listdir(in_tmp) == [], argv
+
+
+def test_roots_that_look_like_options(in_tmp, capsys):
+    assert run_cli(capsys, "0,1", "--a")[:2] == (0, "(x - a)^(-1)\n")
+    assert run_cli(capsys, "0,1", "--", "-h")[:2] == (0, "(x + h)^(-1)\n")
+    assert (in_tmp / "result.out").read_text() == "(x + h)^(-1)\n"
 
 
 def test_quiet_suppresses_stdout_but_writes_file(in_tmp, capsys):
@@ -220,6 +236,7 @@ def test_structured_format(in_tmp, capsys):
     code, out, _ = run_cli(capsys, "--format", "structured", "3,2,1", "a+b,a-b")
     assert code == 0
     assert (in_tmp / "result.out").read_bytes() == out.encode()
+    assert run_cli(capsys, "0,1", "a", "--format=structured")[:2] == (0, "P 1 1 1\n")
 
 
 def test_expand_flag(in_tmp, capsys):
@@ -230,13 +247,6 @@ def test_expand_flag(in_tmp, capsys):
     assert (in_tmp / "result.out").read_bytes() == expanded.encode()
     bind = {"a": Fraction(2, 3), "b": Fraction(5, 7), "x": Fraction(19, 4)}
     assert evaluate(parse_expr(plain), bind) == evaluate(parse_expr(expanded), bind)
-
-
-def test_tiny_buffer_capacity_same_bytes(in_tmp, capsys):
-    big = run_cli(capsys, "--buffer-capacity", "8", "2,3,2", "a,b")[1]
-    normal = run_cli(capsys, "2,3,2", "a,b")[1]
-    assert big == normal
-    assert run_cli(capsys, "--buffer-capacity", "0", "0,1", "a")[0] == 1
 
 
 def test_verify_passes_on_symbolic_and_numeric(in_tmp, capsys):

@@ -60,7 +60,7 @@ def _argv(draw):
     mults = draw(st.lists(st.integers(1, 3), min_size=len(roots), max_size=len(roots)))
     exponents = ",".join(map(str, [draw(st.integers(0, 8)), *mults]))
     flags = draw(st.sampled_from(
-        [[], ["--expand"], ["--format", "structured"], ["--buffer-capacity", "7"]]
+        [[], ["--expand"], ["--format", "structured"], ["--format=structured"]]
     ))
     mutation = draw(st.sampled_from(["none", "root", "exponents", "flags"]))
     if mutation == "root":
@@ -79,12 +79,14 @@ def _argv(draw):
 @example(["0,1", "(-1)^(3^4^5)"])
 @example(["--1,1", "a"])
 @example(["1,1,1", "1/(a-b)+1/(a+b),2*a/(a^2-b^2)"])
+@example(["0,1", "--a"])
+@example(["0,1", "--", "-h"])
 def test_every_argv_decomposes_exactly_or_ends_in_one_line(argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "result.out")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.run([*argv, "--output", path])
+            code = cli.run(["--output", path, *argv])  # argv may end in "-- ..."
         out, err = out.getvalue(), err.getvalue()
         if code == 1:
             assert err.count("\n") == 1 and err.startswith("partfrac: error: "), err

@@ -1,8 +1,9 @@
 """Checking results independently.
 
-Two separate referees: exact random substitution (works for symbolic roots)
-and the classical undetermined-coefficients method (rational roots), which
-shares no code with the closed-formula engine.
+Two separate referees: random substitution modulo a random 62-bit prime
+(works for symbolic roots, however large the expressions) and the classical
+undetermined-coefficients method (rational roots), which shares no code with
+the closed-formula engine.  A counterexample is printed with its prime.
 """
 
 from fractions import Fraction

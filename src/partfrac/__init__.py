@@ -42,7 +42,6 @@ from .expr import (
 from .oracle import (
     Counterexample,
     SubstitutionReport,
-    TooLargeToVerify,
     check_by_substitution,
     compare_with_oracle,
     decomposition_value,

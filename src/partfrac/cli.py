@@ -17,8 +17,8 @@ or exponent list that reads as an option, such as the root ``-h``, goes after
 or ``--`` (``partfrac 0,1 --a`` decomposes the root ``--a``, that is ``a``).
 
 Exit status: 0 success, 1 usage or input error (one line on stderr), 2
-verification failure.  A result whose verification would evaluate numbers
-too long to handle exactly is written, then refused with exit status 1.
+verification failure.  ``--verify`` evaluates modulo random 62-bit primes,
+so no result is too large to verify.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .core import RationalFunctionSpec, decompose
 from .expr import Constant
-from .oracle import TooLargeToVerify, check_by_substitution, compare_with_oracle
+from .oracle import check_by_substitution, compare_with_oracle
 from .output import OutputFormat, StreamBuffer, term_chunks, write_streaming
 from .parser import parse_root_list
 
@@ -94,11 +94,14 @@ def _rearrange(argv: Sequence[str]) -> list[str]:
     """Move options ahead of positionals and shield the positionals behind
     '--', so roots like "-1,-2,-3" or "--a" are not mistaken for options.  A
     token is an option only when it is one of the option strings, in full,
-    or "--name=value" for one of them."""
+    or "--name=value" for one of them.  With more than two positionals, the
+    first one before '--' that starts with '-' is named as an unrecognized
+    option (ValueError), unless help was asked for."""
     # an option with an action (help, store_true) takes no value
     takes_value = {s: "action" not in kw for names, kw in _OPTIONS.items() for s in names}
     flags: list[str] = []
     positionals: list[str] = []
+    stray = None
     i = 0
     while i < len(argv):
         tok = argv[i]
@@ -112,8 +115,12 @@ def _rearrange(argv: Sequence[str]) -> list[str]:
                 i += 1
                 flags.append(argv[i])
         else:
+            if stray is None and tok.startswith("-"):
+                stray = tok
             positionals.append(tok)
         i += 1
+    if len(positionals) > 2 and stray is not None and not {"-h", "--help"} & set(flags):
+        raise ValueError(f"unrecognized option: {stray}")
     return flags + ["--"] + positionals
 
 
@@ -195,6 +202,9 @@ def run(argv: Sequence[str] | None = None) -> int:
             return 0
         print(usage.getvalue().splitlines()[-1], file=sys.stderr)
         return 1
+    except ValueError as err:
+        print(f"partfrac: error: {err}", file=sys.stderr)
+        return 1
 
     try:
         if ns.verify is not None and ns.verify < 1:
@@ -227,11 +237,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()
 
     if ns.verify is not None:
-        try:
-            failures = _verify(spec, d, ns.verify)
-        except TooLargeToVerify as err:
-            print(f"partfrac: error: cannot verify the result: {err}", file=sys.stderr)
-            return 1
+        failures = _verify(spec, d, ns.verify)
         if failures:
             for msg in failures:
                 print(f"partfrac: verification: {msg}", file=sys.stderr)

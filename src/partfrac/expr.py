@@ -365,22 +365,39 @@ def evaluate(e: Expr, bindings: Mapping[str, Numeric]) -> Fraction:
 
 
 def _evaluator(
-    bindings: Mapping[str, Numeric], shared: Container[Expr] | None = None
+    bindings: Mapping[str, Numeric],
+    shared: Container[Expr] | None = None,
+    modulus: int | None = None,
 ) -> Callable[[Expr], Numeric]:
-    """The exact value function of one binding; values are ``int`` or
-    ``Fraction``.  Power nodes are memoized by node, so a power shared within
-    or across the expressions evaluated is raised once per binding; given
-    ``shared``, only the powers in it are kept.  Other nodes are computed
-    directly: a product's or a sum's value is large and its node rarely
-    shared, and memoizing them costs more memory than it saves.
+    """The value function of one binding.  Without ``modulus`` it is exact,
+    and values are ``int`` or ``Fraction``.  Given a prime ``modulus`` p,
+    values are ints in [0, p): a product is reduced after each factor, a sum
+    once at the end, and a rational r/s reads as r * s^-1 mod p.  A zero
+    base under a negative power raises ZeroDivisionError, and so, mod p, does
+    a Constant or a binding whose denominator is 0 mod p.
+
+    Power nodes are memoized by node, so a power shared within or across the
+    expressions evaluated is raised once per binding; given ``shared``, only
+    the powers in it are kept.  Other nodes are computed directly: a
+    product's or a sum's value is large and its node rarely shared, and
+    memoizing them costs more memory than it saves.
     """
     memo: dict[Expr, Numeric] = {}
+
+    def reduce(v: Numeric) -> int:
+        if isinstance(v, int):
+            return v % modulus
+        if not v.denominator % modulus:
+            raise ZeroDivisionError(f"denominator of {v} is 0 mod {modulus}")
+        return v.numerator * pow(v.denominator, -1, modulus) % modulus
 
     def value(e: Expr) -> Numeric:
         if isinstance(e, Product):
             total = 1
             for f in e.factors:
                 total *= value(f)
+                if modulus:
+                    total %= modulus
             return total
         if isinstance(e, Power):
             kept = shared is None or e in shared
@@ -388,10 +405,12 @@ def _evaluator(
             if v is not None:
                 return v
             base, k = value(e.base), e.exponent
-            if k >= 0:
-                v = base**k
-            elif not base:
+            if k < 0 and not base:
                 raise ZeroDivisionError(f"zero base raised to exponent {k} during evaluation")
+            if modulus:
+                v = pow(base, k, modulus)
+            elif k >= 0:
+                v = base**k
             else:  # int ** -k is a float
                 v = (base if isinstance(base, Fraction) else Fraction(base)) ** k
             if kept:
@@ -401,15 +420,17 @@ def _evaluator(
             total = 0
             for t in e.terms:
                 total += value(t)
-            return total
+            return total % modulus if modulus else total
         if isinstance(e, Constant):
-            return e.value
+            return reduce(e.value) if modulus else e.value
         if isinstance(e, Symbol):
             try:
                 v = bindings[e.name]
             except KeyError:
                 raise UnboundSymbolError(e.name) from None
-            return v if isinstance(v, (int, Fraction)) else Fraction(v)
+            if not isinstance(v, (int, Fraction)):
+                v = Fraction(v)
+            return reduce(v) if modulus else v
         raise TypeError(f"not an expression node: {e!r}")
 
     return value

@@ -8,10 +8,14 @@ Two deliberately separate checks:
   system by fraction-free (Bareiss) elimination; each coefficient becomes a
   Fraction only at the end.  It shares no code with the closed-formula
   engine, so agreement is meaningful.
-* :func:`check_by_substitution` — draw random rational values for every
-  symbol (rejecting draws that collide two roots), then compare the original
-  rational function against the decomposed sum at random x points.  All
-  arithmetic is exact, so any disagreement is a real counterexample.
+* :func:`check_by_substitution` — draw a random 62-bit prime p and random
+  values in GF(p) for every symbol and for x, then compare the original
+  rational function against the decomposed sum mod p.  Any disagreement is a
+  real counterexample.  By the Schwartz-Zippel lemma a wrong result passes
+  a trial with probability at most D/p, D the degree of the identity with
+  its denominators cleared, plus the chance that p divides all of its
+  integer coefficients.  No value grows past p, however large the
+  expressions are.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from math import gcd
 from typing import Callable, Mapping, Sequence
 
 from .core import Decomposition, PoleTerm, RationalFunctionSpec
-from .expr import Constant, Expr, Numeric, Power, Sum, Symbol, _distinct_nodes, _evaluator
+from .expr import Constant, Expr, Numeric, Symbol, _distinct_nodes, _evaluator
 
 __all__ = [
     "oracle_decompose",
@@ -31,7 +35,6 @@ __all__ = [
     "decomposition_value",
     "Counterexample",
     "SubstitutionReport",
-    "TooLargeToVerify",
     "check_by_substitution",
     "compare_with_oracle",
 ]
@@ -152,13 +155,21 @@ def decomposition_value(
     d: Decomposition, bindings: Mapping[str, Fraction], x: Fraction
 ) -> Fraction:
     """Exact value of the decomposed sum at a rational point."""
-    return _decomposition_value(*_instantiate(d, _evaluator(bindings)), Fraction(x))
+    return Fraction(_decomposition_value(*_instantiate(d, _evaluator(bindings)), Fraction(x)))
 
 
-def _spec_value(spec: RationalFunctionSpec, root_values: Sequence, x: Fraction) -> Fraction:
-    value = x**spec.numerator_degree
+# pow(b, k, None) is b**k, so the two helpers below are exact for a Fraction
+# x and compute mod p for an int x in [0, p) given p.
+
+
+def _spec_value(
+    spec: RationalFunctionSpec, root_values: Sequence, x: Numeric, p: int | None = None
+) -> Numeric:
+    value = pow(x, spec.numerator_degree, p)
     for root, mult in zip(root_values, spec.multiplicities):
-        value *= (x - root) ** (-mult)
+        value *= pow(x - root, -mult, p)
+        if p:
+            value %= p
     return value
 
 
@@ -171,21 +182,33 @@ def _instantiate(d: Decomposition, value: Callable[[Expr], Numeric]) -> tuple[li
     return monomials, poles
 
 
-def _decomposition_value(monomials: list, poles: list, x: Fraction) -> Fraction:
-    total = Fraction(0)
+def _decomposition_value(
+    monomials: list, poles: list, x: Numeric, p: int | None = None
+) -> Numeric:
+    total = 0
     for degree, coeff in monomials:
-        total += coeff * x**degree
+        total += coeff * pow(x, degree, p)
     for root, order, coeff in poles:
-        total += coeff * (x - root) ** (-order)
-    return total
+        total += coeff * pow(x - root, -order, p)
+    return total % p if p else total
 
 
 @dataclass(frozen=True)
 class Counterexample:
-    bindings: dict[str, Fraction]
-    x: Fraction
-    original: Fraction
-    decomposed: Fraction
+    """A point where the two sides differ mod ``modulus``: every binding, x
+    and both values are ints in [0, modulus)."""
+
+    bindings: dict[str, int]
+    x: int
+    original: int
+    decomposed: int
+    modulus: int
+
+    def __str__(self) -> str:
+        return (
+            f"x={self.x} with bindings {self.bindings} mod p={self.modulus}: "
+            f"original={self.original} decomposed={self.decomposed}"
+        )
 
 
 @dataclass(frozen=True)
@@ -204,27 +227,41 @@ class SubstitutionReport:
                 f"substitution check passed: {self.trials} trials, "
                 f"{self.points_checked} points"
             )
-        ce = self.counterexample
-        return (
-            f"substitution check FAILED at x={ce.x} with bindings {ce.bindings}: "
-            f"original={ce.original} decomposed={ce.decomposed}"
-        )
+        return f"substitution check FAILED at {self.counterexample}"
 
 
-_DRAW = 10**6  # symbols and x are drawn as p/q with 1 <= p, q <= _DRAW
-_BINDING_BITS = 2 * _DRAW.bit_length()
-# Substitution refuses an input whose evaluation would reach a number of more
-# bits than this (numerator plus denominator).  The gcd of two such numbers
-# takes about 0.15 s, and the cost grows with the square of the length.
-_MAX_BITS = 1 << 18
+# Miller-Rabin with these bases decides primality exactly below
+# 318665857834031151167461 (about 3.2 * 10^23), the least strong
+# pseudoprime to all twelve; every candidate here is below 2^63.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-class TooLargeToVerify(ValueError):
-    """Substitution would evaluate numbers too long for exact arithmetic."""
+def _is_prime(n: int) -> bool:
+    """Whether n > 37 is prime."""
+    if any(not n % q for q in _WITNESSES):
+        return False
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _WITNESSES:
+        y = pow(a, d, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
-def _random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(1, _DRAW), rng.randint(1, _DRAW))
+def _random_prime(rng: random.Random) -> int:
+    """The first prime at or above a random odd number in [2^61, 2^62)."""
+    n = rng.randrange(1 << 61, 1 << 62) | 1
+    while not _is_prime(n):
+        n += 2
+    return n
 
 
 def check_by_substitution(
@@ -234,82 +271,60 @@ def check_by_substitution(
     seed: int = 0,
     points_per_trial: int = 1,
 ) -> SubstitutionReport:
-    """Compare spec and decomposition values at random rational points.
+    """Compare spec and decomposition values at random points mod a prime.
 
-    Each trial draws one set of symbol bindings (redrawn if two roots
-    collide) and ``points_per_trial`` x values avoiding all poles.  Stops at
-    the first counterexample.  All expressions are evaluated through one
-    memo per binding, which keeps the powers evaluation reaches more than
-    once.  Raises :class:`TooLargeToVerify` before evaluating
-    anything when a power would reach a number of more than ``_MAX_BITS``
-    bits.
+    Each trial draws a prime p of 62 bits, a value in GF(p) for every
+    symbol, and ``points_per_trial`` values of x in GF(p), then evaluates
+    both sides mod p.  The prime and the bindings are drawn again together
+    while a Constant's denominator, the base of a negative power or the
+    difference of two roots is 0 mod p; x is drawn again while it hits a
+    root.  Stops at the first counterexample.  All expressions are
+    evaluated through one memo per binding, which keeps the powers
+    evaluation reaches more than once, and no value grows past p.
+
+    A disagreement is a real counterexample.  Agreement is a proof up to
+    chance: clear the denominators of the difference of the two sides to a
+    polynomial of degree D in the symbols and x.  If it is not zero, a
+    trial passes it with probability at most D/p (Schwartz-Zippel), plus the
+    chance that p divides all of its integer coefficients.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    names, shared = _symbols_and_shared_powers(spec, d)
+    nodes, shared = _distinct_nodes(
+        (*spec.roots, *d.roots, *(t.coefficient for t in (*d.monomials, *d.poles)))
+    )
+    names = sorted(e.name for e in nodes if isinstance(e, Symbol))
     rng = random.Random(seed)
     checked = 0
     for _ in range(trials):
         for _ in range(100):
-            bindings = {name: _random_fraction(rng) for name in names}
-            value = _evaluator(bindings, shared)  # one memo per binding
-            spec_roots = [value(root) for root in spec.roots]
+            p = _random_prime(rng)
+            bindings = {name: rng.randrange(p) for name in names}
+            value = _evaluator(bindings, shared, p)  # one memo per binding
+            try:
+                spec_roots = [value(root) for root in spec.roots]
+                # Instantiate every term once per binding; the x loop then
+                # only does a few operations mod p per term.
+                monomials, poles = _instantiate(d, value)
+            except ZeroDivisionError:
+                continue
             if len(set(spec_roots)) == len(spec_roots):
                 break
         else:  # pragma: no cover - collision probability is negligible
             raise RuntimeError("could not draw non-colliding root values")
-        # Instantiate every term once per binding; the x loop then only does
-        # cheap rational arithmetic.
-        monomials, poles = _instantiate(d, value)
         avoid = set(spec_roots) | {root for root, _, _ in poles}
         for _ in range(points_per_trial):
-            x = _random_fraction(rng)
+            x = rng.randrange(p)
             while x in avoid:  # pragma: no cover - negligible probability
-                x = _random_fraction(rng)
-            original = _spec_value(spec, spec_roots, x)
-            decomposed = _decomposition_value(monomials, poles, x)
+                x = rng.randrange(p)
+            original = _spec_value(spec, spec_roots, x, p)
+            decomposed = _decomposition_value(monomials, poles, x, p)
             checked += 1
             if original != decomposed:
                 return SubstitutionReport(
-                    trials, checked, Counterexample(bindings, x, original, decomposed)
+                    trials, checked, Counterexample(bindings, x, original, decomposed, p)
                 )
     return SubstitutionReport(trials, checked, None)
-
-
-def _symbols_and_shared_powers(
-    spec: RationalFunctionSpec, d: Decomposition
-) -> tuple[list[str], set[Expr]]:
-    """The sorted symbol names of ``spec`` and ``d``, and the Power nodes
-    that one substitution trial evaluates more than once.  Refuses, before
-    anything is evaluated, a power whose value would have more than
-    ``_MAX_BITS`` bits."""
-    nodes, shared = _distinct_nodes(
-        (*spec.roots, *d.roots, *(t.coefficient for t in (*d.monomials, *d.poles)))
-    )
-    memo: dict[Expr, int] = {}
-    largest = max((_bits(e, memo) for e in nodes if isinstance(e, Power)), default=0)
-    if largest > _MAX_BITS:
-        raise TooLargeToVerify(
-            f"substitution would evaluate numbers of about {largest} bits, "
-            f"more than the limit of {_MAX_BITS}"
-        )
-    return sorted(e.name for e in nodes if isinstance(e, Symbol)), shared
-
-
-def _bits(e: Expr, memo: dict[Expr, int]) -> int:
-    """Upper estimate of the bits (numerator plus denominator) of ``e``'s
-    value under drawn bindings: the bits of a sum or product add up, a
-    power multiplies its base's by the exponent."""
-    if isinstance(e, Constant):
-        return e.value.numerator.bit_length() + e.value.denominator.bit_length()
-    if isinstance(e, Symbol):
-        return _BINDING_BITS
-    if e not in memo:
-        if isinstance(e, Power):
-            memo[e] = abs(e.exponent) * _bits(e.base, memo)
-        else:
-            memo[e] = sum(_bits(c, memo) for c in (e.terms if isinstance(e, Sum) else e.factors))
-    return memo[e]
 
 
 def compare_with_oracle(spec: RationalFunctionSpec, d: Decomposition) -> str | None:

@@ -460,6 +460,42 @@ def test_memoized_evaluation_matches_the_reference_on_shared_subtrees(trees, see
         assert value(e) == want
 
 
+def _negative_power_bases(e):
+    """Every base raised to a negative exponent in a raw tree."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Power):
+            if e.exponent < 0:
+                yield e.base
+            stack.append(e.base)
+        elif isinstance(e, (Sum, Product)):
+            stack.extend(e.terms if isinstance(e, Sum) else e.factors)
+
+
+def _zero_mod(e, bindings, p) -> bool:
+    try:
+        return _reference_value(e, bindings).numerator % p == 0
+    except ZeroDivisionError:  # a zero base below e; it is 0 mod p too
+        return True
+
+
+@settings(max_examples=300)
+@given(raw_trees, st.sampled_from([7, 11, 13, 2**61 - 1]), st.integers(0, 2**32))
+def test_modular_evaluation_is_the_exact_value_mod_p(tree, p, seed):
+    # p exceeds every constant's denominator, so only a negative power of a
+    # base that is 0 mod p can fail
+    rng = random.Random(seed)
+    bindings = {name: rng.randrange(p) for name in "abc"}
+    value = _evaluator(bindings, modulus=p)
+    if any(_zero_mod(base, bindings, p) for base in _negative_power_bases(tree)):
+        with pytest.raises(ZeroDivisionError):
+            value(tree)
+        return
+    exact = evaluate(tree, bindings)
+    assert value(tree) == exact.numerator * pow(exact.denominator, -1, p) % p
+
+
 def test_zero_base_under_a_negative_power_still_raises():
     value = _evaluator({"a": 1, "b": 1})
     assert value((a - b) ** 2) == 0  # memoized before the negative power

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from partfrac import (
     MonomialTerm,
     PoleTerm,
     RationalFunctionSpec,
-    TooLargeToVerify,
     check_by_substitution,
     compare_with_oracle,
     decompose,
@@ -177,11 +177,11 @@ def test_oracle_agrees_with_terms_that_multiply_back_to_the_numerator(data):
     assert total == [int(i == l) for i in range(len(total))]
 
 
-def test_substitution_refuses_numbers_too_long_to_evaluate():
+def test_substitution_verifies_numbers_too_long_to_evaluate_exactly():
+    # a^999999 at a rational of 40 bits has 40 million bits; mod p it has 62
     spec = RationalFunctionSpec(0, ((a, 1), (a**999999, 1)))
-    with pytest.raises(TooLargeToVerify, match="bits"):
-        check_by_substitution(spec, decompose(spec), trials=1)
-    spec = RationalFunctionSpec(3, ((a, 2), ((a + b) ** 200, 1)))  # about 16k bits
+    assert check_by_substitution(spec, decompose(spec), trials=1).passed
+    spec = RationalFunctionSpec(3, ((a, 2), ((a + b) ** 200, 1)))
     assert check_by_substitution(spec, decompose(spec), trials=1).passed
 
 
@@ -233,6 +233,44 @@ def test_colliding_roots_never_reach_checker():
     # the distinctness gate fires at spec construction ((a) vs (a + 0*b))
     with pytest.raises(DuplicateRootError):
         RationalFunctionSpec(0, ((a, 1), (a + 0 * b, 1)))
+
+
+def _plus_one(term):
+    """``term`` with 1 added to its coefficient."""
+    return replace(term, coefficient=term.coefficient + 1)
+
+
+def test_substitution_catches_a_mutated_coefficient_in_one_trial():
+    a1, a2, a3 = symbols("a1 a2 a3")
+    poles = RationalFunctionSpec(3, ((a1, 5), (a2, 7), (a3, 11)))
+    quotient = RationalFunctionSpec(12, ((a1, 3), (a2, 4)))
+    rational = RationalFunctionSpec(
+        2, ((Constant(Fraction(1, 2)), 2), (Constant(-3), 1), (Constant(5), 3))
+    )
+    for spec, side in ((poles, "poles"), (quotient, "monomials"), (rational, "poles")):
+        d = decompose(spec)
+        terms = getattr(d, side)
+        for k in (0, len(terms) // 2, len(terms) - 1):
+            mutated = replace(d, **{side: terms[:k] + (_plus_one(terms[k]),) + terms[k + 1 :]})
+            for seed in range(3):
+                report = check_by_substitution(spec, mutated, trials=1, seed=seed)
+                assert not report.passed and report.points_checked == 1, (spec, side, k)
+
+
+def test_substitution_passes_roots_that_differ_by_a_multiple_of_a_mersenne_prime():
+    # a and a + (2^61 - 1) coincide mod 2^61 - 1 under every binding
+    spec = RationalFunctionSpec(0, ((a, 1), (a + 2305843009213693951, 1)))
+    for seed in range(5):
+        assert check_by_substitution(spec, decompose(spec), trials=2, seed=seed).passed
+
+
+def test_counterexample_names_the_prime():
+    spec = RationalFunctionSpec(0, ((a, 1), (b, 2)))
+    d = decompose(spec)
+    ce = check_by_substitution(spec, replace(d, poles=d.poles[1:]), trials=1).counterexample
+    assert 1 << 61 <= ce.modulus and f"mod p={ce.modulus}" in str(ce)
+    for v in (ce.x, ce.original, ce.decomposed, *ce.bindings.values()):
+        assert type(v) is int and 0 <= v < ce.modulus
 
 
 def test_value_helpers_agree():

@@ -9,12 +9,21 @@ quotient of an improper input is another such sum.  No symbolic
 differentiation or polynomial division is ever performed.  Both sums
 produce raw terms and hand them to :func:`collect`, the package's one merge.
 
+Roots are validated by evaluation mod a prime, never by expansion (see
+:class:`RationalFunctionSpec`).  A spec that is accepted has pairwise
+distinct roots, none of them undefined, for certain; a distinct pair is
+refused with probability at most (D/p)^3 plus the chance that p divides
+the content of their difference, D the degree of that difference with its
+denominators cleared and p a random 62-bit prime.  Every work bound the
+program enforces, except the parser's digit limit, is defined here.
+
 Everything here is pure and immutable: decompositions are value objects and
 the same input always yields byte-identical output downstream.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -22,8 +31,8 @@ from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import binomial, compositions
-from .expr import ONE, ZERO, Constant, Expr, Power, Product, Sum, expand, product_of, sum_of
-from .expr import symbols_in
+from .expr import ZERO, Constant, Expr, Power, Product, Sum, product_of, sum_of
+from .expr import _evaluator, _random_prime, symbols_in
 
 __all__ = [
     "DuplicateRootError",
@@ -41,19 +50,24 @@ __all__ = [
 
 VARIABLE = "x"  # the decomposition variable is fixed
 
-# A root is refused when its expanded numerator or denominator could have
-# more terms than this.  expand builds a power of a sum as its multinomial
-# sum, so the work grows with the terms built: (a + 1)^499 and
-# (a + b + c)^30, at the limit, take about 0.03 s.
+# The closed formula writes max(l - m + 1, 0) quotient terms and at most m
+# pole terms; a spec that could write more than this is refused.  Time is
+# linear in that count: the limit takes about 4 s.
+MAX_OUTPUT_TERMS = 10**5
+# Expanded coefficients (--expand) are refused when expand could build more
+# terms than this at one Power or Product node.  expand builds a power of a
+# sum as its multinomial sum, so the work grows with the terms built:
+# (a + 1)^499 and (a + b + c)^30, at the limit, take about 0.03 s.
 MAX_EXPANDED_TERMS = 500
-# Two roots with different denominators are compared by expanding
-# n_i*d_k - n_k*d_i, one product per pair of terms; a pair that would take
-# more products than this is refused.
-MAX_CROSS_PRODUCTS = 20 * MAX_EXPANDED_TERMS
+
+# The prime of the first root check, and the number of checks mod random
+# primes that follow when it is not conclusive (see RationalFunctionSpec).
+_MERSENNE_61 = (1 << 61) - 1
+_EXTRA_TRIALS = 3
 
 
 class DuplicateRootError(ValueError):
-    """Two denominator factors share a root (after expansion)."""
+    """Two denominator factors share a root (as rational functions)."""
 
     def __init__(self, first: int, second: int, root: Expr):
         super().__init__(
@@ -70,12 +84,19 @@ class RationalFunctionSpec:
     """The input x^l * prod_k (x - root_k)^(-mult_k).
 
     ``factors`` is an ordered sequence of (root, multiplicity) pairs.  Roots
-    must be canonical, free of x, with no zero divisor, and pairwise distinct
-    as rational functions of their symbols.  Each root is brought to expanded
-    numerator/denominator polynomials once; a pair with equal denominators
-    (every pair of polynomial roots) compares numerators, any other pair
-    expands its cross-multiplied difference, and is refused when that would
-    take more than ``MAX_CROSS_PRODUCTS`` term products.
+    must be canonical, free of x, defined, and pairwise distinct as rational
+    functions of their symbols; the result may have at most
+    ``MAX_OUTPUT_TERMS`` terms.
+
+    Roots are evaluated mod 2^61 - 1 at symbol values drawn from an RNG
+    seeded by the factors, then, only if some root divided by zero or two
+    values were equal, in up to 3 more trials mod random 62-bit primes.  A
+    root is refused as undefined when it divides by zero in every trial, a
+    pair as equal when no trial tells them apart.  Equal rational functions
+    take equal values wherever both are defined, so acceptance is certain.
+    A distinct pair is refused with probability at most (D/p)^3, plus the
+    chance that p divides the content of their difference, D the degree of
+    that difference with its denominators cleared (Schwartz-Zippel).
     """
 
     numerator_degree: int
@@ -94,30 +115,38 @@ class RationalFunctionSpec:
                 raise TypeError(f"root must be an Expr, got {type(root).__name__}")
             if mult < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {mult}")
-        fractions = []
-        for idx, root in enumerate(self.roots, start=1):
-            if VARIABLE in symbols_in(root):
+        m = self.denominator_degree
+        terms = max(self.numerator_degree - m + 1, 0) + m
+        if terms > MAX_OUTPUT_TERMS:
+            raise ValueError(f"the result could have {terms} terms, more than {MAX_OUTPUT_TERMS}")
+        roots, names = self.roots, set()
+        for idx, root in enumerate(roots, start=1):
+            names |= symbols_in(root)
+            if VARIABLE in names:
                 raise ValueError(f"root {idx} contains the decomposition variable '{VARIABLE}'")
-            if max(_expanded_terms(root)) > MAX_EXPANDED_TERMS:
-                raise ValueError(
-                    f"root {idx} would expand to more than {MAX_EXPANDED_TERMS} terms"
-                )
-            try:
-                n, d = _numerator_denominator(root)
-            except ZeroDivisionError:
-                raise ValueError(f"root {idx} is undefined: it divides by zero") from None
-            fractions.append((expand(n), expand(d)))
-        for (i, (n_i, d_i)), (k, (n_k, d_k)) in combinations(enumerate(fractions), 2):
-            # expand is canonical: equal denominators compare the numerators
-            if d_i != d_k and (
-                _terms(n_i) * _terms(d_k) + _terms(n_k) * _terms(d_i) > MAX_CROSS_PRODUCTS
-            ):
-                raise ValueError(
-                    f"roots {i + 1} and {k + 1} are too large to compare: cross-multiplying "
-                    f"them takes more than {MAX_CROSS_PRODUCTS} term products"
-                )
-            if n_i == n_k if d_i == d_k else expand(n_i * d_k - n_k * d_i) == ZERO:
-                raise DuplicateRootError(i, k, self.factors[i][0])
+        rng = random.Random(repr(self.factors))
+        undefined = set(range(len(roots)))  # roots that divided by zero in every trial
+        tied = None  # pairs that no trial told apart
+        for trial in range(1 + _EXTRA_TRIALS):
+            p = _random_prime(rng) if trial else _MERSENNE_61
+            value = _evaluator({name: rng.randrange(p) for name in sorted(names)}, modulus=p)
+            vals = []
+            for root in roots:
+                try:
+                    vals.append(value(root))
+                except ZeroDivisionError:
+                    vals.append(None)
+            if tied is None:
+                if None not in vals and len(set(vals)) == len(vals):
+                    return
+                tied = combinations(range(len(roots)), 2)
+            undefined = {i for i in undefined if vals[i] is None}
+            tied = [(i, k) for i, k in tied if None in (vals[i], vals[k]) or vals[i] == vals[k]]
+            if not undefined and not tied:
+                return
+        if undefined:
+            raise ValueError(f"root {min(undefined) + 1} is undefined: it divides by zero")
+        raise DuplicateRootError(*tied[0], roots[tied[0][0]])
 
     @property
     def roots(self) -> tuple[Expr, ...]:
@@ -136,64 +165,29 @@ class RationalFunctionSpec:
         return self.numerator_degree < self.denominator_degree
 
 
-def _numerator_denominator(e: Expr) -> tuple[Expr, Expr]:
-    """Polynomials (n, d) with e == n / d; d is ONE when e has no negative
-    power.  Expanding n_i*d_k - n_k*d_i then decides e_i == e_k exactly.
-    Raises ZeroDivisionError when a base raised to a negative power expands
-    to zero, at any depth."""
-    if isinstance(e, Power):
-        n, d = _numerator_denominator(e.base)
-        k = e.exponent
-        if k > 0:
-            return n**k, d**k
-        if expand(n) == ZERO:
-            raise ZeroDivisionError(f"{e.base} is zero")
-        return d**-k, n**-k
-    if isinstance(e, Product):
-        parts = [_numerator_denominator(f) for f in e.factors]
-        return product_of(n for n, _ in parts), product_of(d for _, d in parts)
-    if isinstance(e, Sum):
-        parts = [_numerator_denominator(t) for t in e.terms]
-        dens = [d for _, d in parts]
-        numerator = sum_of(
-            product_of([n, *dens[:j], *dens[j + 1:]]) for j, (n, _) in enumerate(parts)
-        )
-        return numerator, product_of(dens)
-    return e, ONE
-
-
-def _terms(e: Expr) -> int:
-    """The number of terms of an expanded polynomial."""
-    return len(e.terms) if isinstance(e, Sum) else 1
-
-
-def _expanded_terms(e: Expr) -> tuple[int, int]:
-    """Upper bounds on the term counts of the expanded (n, d) that
-    :func:`_numerator_denominator` returns for ``e``, computed without
-    expanding: a t-term sum raised to k has at most C(k+t-1, t-1) terms, and
-    counts multiply across a product.  Counts saturate just above
-    MAX_EXPANDED_TERMS, so huge exponents cost nothing."""
+def _expanded_terms(e: Expr) -> int:
+    """An upper bound on the number of terms of ``expand(e)``, computed
+    without expanding: a t-term sum raised to k >= 0 has at most
+    C(k+t-1, t-1) terms, counts multiply across a product and add across a
+    sum, and a negative power is one term.  Raises ValueError when expand
+    could build more than MAX_EXPANDED_TERMS terms at one Power or Product
+    node, bases of negative powers included.  Counts saturate just above
+    the limit, so huge exponents cost nothing."""
     cap = MAX_EXPANDED_TERMS + 1
     if isinstance(e, Power):
-        n, d = _expanded_terms(e.base)
-        k = abs(e.exponent)
-        if e.exponent < 0:
-            n, d = d, n
-
-        def power(t: int) -> int:  # a t-term sum raised to k
-            if t == 1:
-                return 1
-            return cap if k >= cap else min(binomial(k + t - 1, k), cap)
-
-        return power(n), power(d)
-    if isinstance(e, Product):
-        sizes = [_expanded_terms(f) for f in e.factors]
-        return min(prod(n for n, _ in sizes), cap), min(prod(d for _, d in sizes), cap)
-    if isinstance(e, Sum):
-        sizes = [_expanded_terms(t) for t in e.terms]
-        den = min(prod(d for _, d in sizes), cap)
-        return min(sum(n * den // d for n, d in sizes), cap), den
-    return 1, 1
+        t, k = _expanded_terms(e.base), e.exponent
+        if k < 0:
+            return 1
+        count = 1 if t == 1 else cap if k >= cap else min(binomial(k + t - 1, k), cap)
+    elif isinstance(e, Product):
+        count = min(prod(_expanded_terms(f) for f in e.factors), cap)
+    elif isinstance(e, Sum):
+        return min(sum(_expanded_terms(t) for t in e.terms), cap)
+    else:
+        return 1
+    if count > MAX_EXPANDED_TERMS:
+        raise ValueError(f"a coefficient would expand to more than {MAX_EXPANDED_TERMS} terms")
+    return count
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ The text form of an expression belongs to :mod:`partfrac.output`;
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 from operator import itemgetter
@@ -434,6 +435,40 @@ def _evaluator(
         raise TypeError(f"not an expression node: {e!r}")
 
     return value
+
+
+# Miller-Rabin with these bases decides primality exactly below
+# 318665857834031151167461 (about 3.2 * 10^23), the least strong
+# pseudoprime to all twelve; every candidate here is below 2^63.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n > 37 is prime."""
+    if any(not n % q for q in _WITNESSES):
+        return False
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _WITNESSES:
+        y = pow(a, d, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _random_prime(rng: random.Random) -> int:
+    """The first prime at or above a random odd number in [2^61, 2^62)."""
+    n = rng.randrange(1 << 61, 1 << 62) | 1
+    while not _is_prime(n):
+        n += 2
+    return n
 
 
 def _distinct_nodes(exprs: Iterable[Expr]) -> tuple[Iterable[Expr], set[Expr]]:

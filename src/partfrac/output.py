@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import BinaryIO, Iterable, Iterator
 
-from .core import VARIABLE, Decomposition, MonomialTerm, PoleTerm, collect
+from .core import VARIABLE, Decomposition, MonomialTerm, PoleTerm, _expanded_terms, collect
 from .expr import ONE, Constant, Expr, Power, Product, Sum, Symbol, expand
 
 __all__ = [
@@ -157,6 +157,8 @@ def _infix_body(term: MonomialTerm | PoleTerm, magnitude: Expr, root: Expr | Non
 def _prepared(d: Decomposition, fmt: OutputFormat) -> Decomposition:
     if not fmt.expand_coefficients:
         return d
+    for t in (*d.monomials, *d.poles):  # refuse before expanding anything
+        _expanded_terms(t.coefficient)
     monomials = [MonomialTerm(t.degree, expand(t.coefficient)) for t in d.monomials]
     poles = [PoleTerm(t.pole_index, t.order, expand(t.coefficient)) for t in d.poles]
     return collect(Decomposition(d.roots, monomials, poles))

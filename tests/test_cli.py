@@ -3,6 +3,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -181,11 +182,12 @@ def test_huge_integers_end_in_one_line(in_tmp, capsys):
 
 
 def test_work_without_bound_ends_in_one_line(in_tmp, capsys):
-    # expanding the root would build 100001 terms one at a time
+    # roots are compared by evaluation mod a prime, so (a+1)^100000 is never
+    # multiplied out unless --expand asks for it, and then it is refused
+    # before anything is expanded
     code, out, err = run_cli(capsys, "0,1", "(a+1)^100000")
-    assert code == 1 and out == ""
-    assert err == "partfrac: error: root 1 would expand to more than 500 terms\n"
-    assert os.listdir(in_tmp) == []
+    assert code == 0 and err == "" and out == "(x - (1 + a)^100000)^(-1)\n"
+    os.remove(in_tmp / "result.out")
     # a^999999 is evaluated mod a 62-bit prime, so verifying it is cheap
     code, out, err = run_cli(capsys, "0,1,1", "a,a^999999", "--verify", "1")
     assert code == 0
@@ -193,17 +195,35 @@ def test_work_without_bound_ends_in_one_line(in_tmp, capsys):
     assert (in_tmp / "result.out").read_text() == out
 
 
-def test_roots_too_large_to_compare_end_in_one_line(in_tmp, capsys):
-    # both roots are 496 terms over 496: comparing them would multiply out
-    # 2 * 496 * 496 pairs of terms
+@pytest.mark.parametrize("argv, message", [
+    (("0,1,1", "(a+1)^100000,b", "--expand"),
+     "cannot render the result: a coefficient would expand to more than 500 terms"),
+    (("40,1,1", "a+b+c+d,e", "--expand"),
+     "cannot render the result: a coefficient would expand to more than 500 terms"),
+    (("60,1,1", "a+b+c+d,e", "--expand"),
+     "cannot render the result: a coefficient would expand to more than 500 terms"),
+    (("99999999,1", "a"), "the result could have 100000000 terms, more than 100000"),
+    (("0,99999999", "a"), "the result could have 99999999 terms, more than 100000"),
+])
+def test_work_too_large_is_refused_up_front(in_tmp, capsys, argv, message):
+    for quiet in ((), ("--quiet",)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *quiet, *argv)
+        assert time.perf_counter() - start < 1, quiet
+        assert code == 1 and out == "", quiet
+        assert err == f"partfrac: error: {message}\n", quiet
+        assert os.listdir(in_tmp) == [], quiet
+
+
+def test_large_rational_function_roots_are_compared_by_evaluation(in_tmp, capsys):
+    # both roots are 496 terms over 496: cross-multiplying them would take
+    # 2 * 496 * 496 products of terms, and evaluating them mod a prime takes
+    # a few hundred operations
     roots = "(a+b+c)^30/(a+b+d)^30,(a+c+d)^30/(b+c+d)^30"
-    code, out, err = run_cli(capsys, "0,1,1", roots)
-    assert code == 1 and out == ""
-    assert err == (
-        "partfrac: error: roots 1 and 2 are too large to compare: cross-multiplying "
-        "them takes more than 10000 term products\n"
-    )
-    assert os.listdir(in_tmp) == []
+    code, out, err = run_cli(capsys, "0,1,1", roots, "--verify", "2")
+    assert code == 0
+    assert err == "partfrac: verification passed (2 substitution trials)\n"
+    assert (in_tmp / "result.out").read_text() == out
 
 
 def test_output_through_a_symlink_replaces_its_target(in_tmp, capsys):

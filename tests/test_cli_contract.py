@@ -79,6 +79,12 @@ def _argv(draw):
 @example(["1,1,1", "1/(a-b)+1/(a+b),2*a/(a^2-b^2)"])
 @example(["0,1", "--a"])
 @example(["0,1", "--", "-h"])
+@example(["--expand", "0,1,1", "(a+1)^100000,b"])
+@example(["--expand", "40,1,1", "a+b+c+d,e"])
+@example(["--expand", "60,1,1", "a+b+c+d,e"])
+@example(["99999999,1", "a"])
+@example(["0,99999999", "a"])
+@example(["0,1,1", "(a+b+c)^30/(a+b+d)^30,(a+c+d)^30/(b+c+d)^30"])
 def test_every_argv_decomposes_exactly_or_ends_in_one_line(argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "result.out")

@@ -3,13 +3,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from partfrac import (
     ONE,
     Constant,
     DuplicateRootError,
     MonomialTerm,
+    OutputFormat,
     PoleTerm,
     Power,
     Product,
@@ -31,8 +32,8 @@ from partfrac import (
     expand,
     symbols,
 )
-from partfrac import expr
-from partfrac.core import MAX_EXPANDED_TERMS, _expanded_terms, _numerator_denominator
+from partfrac import core, expr, oracle
+from partfrac.core import MAX_EXPANDED_TERMS, MAX_OUTPUT_TERMS, _expanded_terms
 from partfrac.expr import _distinct_nodes
 from helpers import random_rational_spec, random_symbolic_spec
 from test_expr import _canonical_or_skip, raw_trees
@@ -62,13 +63,30 @@ def test_spec_invariants():
         spec_of(0, (1 / (c + 1 / (1 / (a - b) + 1 / (b - a))), 1), (c, 1))
 
 
-def test_roots_too_large_to_expand_are_refused_up_front():
-    # (a + 1)^100000 would take hours to multiply out, in the numerator or,
-    # inverted, in the denominator
-    for root in ((a + 1) ** 100000, (a + 1) ** -100000, b * (a + b + c) ** 40):
+def test_coefficients_too_large_to_expand_are_refused_up_front():
+    # (a + 1)^100000 is a valid root, but multiplying it out would take
+    # hours: --expand refuses before it expands any coefficient, whether the
+    # power is in a coefficient or, inverted, in the base of one
+    expanded = OutputFormat(expand_coefficients=True)
+    for root in ((a + 1) ** 100000, 1 / (c + (a + 1) ** 100000), b * (a + b + c) ** 40):
+        d = decompose(spec_of(1, (root, 1), (b + 1, 1)))
+        serialize(d)
         with pytest.raises(ValueError, match=f"more than {MAX_EXPANDED_TERMS} terms"):
-            spec_of(0, (root, 1))
-    spec_of(0, ((a + b + c) ** 30, 1), ((a - 1) ** 3 / (b + 2) ** 2, 2))  # 496 terms
+            serialize(d, expanded)
+    d = decompose(spec_of(1, ((a + b + c) ** 30, 1), ((a - 1) ** 3 / (b + 2) ** 2, 2)))
+    serialize(d, expanded)  # 496 terms
+
+
+def test_output_size_is_bounded_up_front():
+    for l, m in ((99999999, 1), (0, 99999999), (MAX_OUTPUT_TERMS, 1)):
+        with pytest.raises(ValueError, match=f"more than {MAX_OUTPUT_TERMS}"):
+            spec_of(l, (a, m))
+    spec_of(MAX_OUTPUT_TERMS - 1, (a, 1))
+    spec_of(0, (a, MAX_OUTPUT_TERMS))
+
+
+def _term_count(e):
+    return len(e.terms) if isinstance(e, Sum) else 1
 
 
 @settings(max_examples=150)
@@ -76,12 +94,12 @@ def test_roots_too_large_to_expand_are_refused_up_front():
 def test_expanded_term_estimate_is_an_upper_bound(tree):
     e = _canonical_or_skip(tree)
     try:
-        n, d = _numerator_denominator(e)
-    except ZeroDivisionError:
+        assert _term_count(expand(e)) <= _expanded_terms(e)
+    except ValueError:
         return
-    for estimate, actual in zip(_expanded_terms(e), (expand(n), expand(d))):
-        count = len(actual.terms) if isinstance(actual, Sum) else 1
-        assert count <= estimate
+    for node in _distinct_nodes((e,))[0]:
+        if isinstance(node, Power) and node.exponent < 0:
+            assert _term_count(expand(node.base)) <= _expanded_terms(node.base)
 
 
 def test_duplicate_roots_rejected():
@@ -110,6 +128,40 @@ def test_distinct_roots_accepted():
     s = spec_of(0, (a, 1), (a + 1, 1), (2 * a, 2))
     assert s.denominator_degree == 4
     assert s.is_proper
+
+
+def test_roots_whose_constants_vanish_mod_a_fixed_prime_are_accepted():
+    # these denominators are 0 mod 2^61 - 1, the first trial's prime; the
+    # later trials' primes are drawn from the spec, so no constant can be
+    # built against them
+    for denominator in (2**61 - 1, (2**61 - 1) * (2**89 - 1) * (2**107 - 1)):
+        spec = spec_of(0, (1 / Constant(denominator), 1), (a, 1))
+        assert spec.roots[0] == Constant(Fraction(1, denominator))
+
+
+@settings(max_examples=150)
+@given(raw_trees)
+def test_roots_equal_as_rational_functions_are_refused(tree):
+    e = _canonical_or_skip(tree)
+    try:
+        spec_of(0, (e, 1))
+    except ValueError:
+        assume(False)  # e divides by zero
+    with pytest.raises(DuplicateRootError):
+        spec_of(0, (e, 1), (expand(e), 1))
+    spec_of(0, (e, 1), (e + 1, 1))
+
+
+def test_distinct_roots_need_one_trial(monkeypatch):
+    drawn = []
+    real = core._random_prime
+    monkeypatch.setattr(core, "_random_prime", lambda rng: drawn.append(1) or real(rng))
+    roots = symbols(" ".join(f"a{i}" for i in range(80)))
+    spec_of(0, *((root, 1) for root in roots))
+    assert drawn == []
+    with pytest.raises(DuplicateRootError):
+        spec_of(0, *((root, 1) for root in roots), (roots[0], 1))
+    assert len(drawn) == 3
 
 
 # --- proper decomposition --------------------------------------------------------
@@ -485,7 +537,9 @@ def test_integral_coefficients_make_no_python_level_fraction_calls(fraction_call
     assert len(d.poles) == 9 + 3 * 3
 
     # one substitution trial raises each distinct Power node once, mod p,
-    # and never makes a Fraction
+    # and never makes a Fraction; the prime is fixed, so the count holds no
+    # pow of the prime search, which lives in expr too
+    monkeypatch.setattr(oracle, "_random_prime", lambda rng: (1 << 61) - 1)
     raised = []
     monkeypatch.setattr(
         expr, "pow", lambda *args: raised.append(args) or pow(*args), raising=False

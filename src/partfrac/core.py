@@ -31,7 +31,7 @@ from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import binomial, compositions
-from .expr import ZERO, Constant, Expr, Power, Product, Sum, product_of, sum_of
+from .expr import ONE, ZERO, Constant, Expr, Power, Product, Sum, Symbol, product_of, sum_of
 from .expr import _evaluator, _random_prime, symbols_in
 
 __all__ = [
@@ -79,6 +79,19 @@ class DuplicateRootError(ValueError):
         self.root = root
 
 
+def _seed_text(node) -> str:
+    """A deterministic text of a tree of tuples, ints, Fractions and names.
+    Ints are written in hex, so no integer is ever converted to decimal,
+    which Python refuses past ``sys.get_int_max_str_digits()`` digits."""
+    if isinstance(node, tuple):
+        return f"({','.join(map(_seed_text, node))})"
+    if isinstance(node, int):
+        return hex(node)
+    if isinstance(node, Fraction):
+        return f"{node.numerator:#x}/{node.denominator:#x}"
+    return node
+
+
 @dataclass(frozen=True)
 class RationalFunctionSpec:
     """The input x^l * prod_k (x - root_k)^(-mult_k).
@@ -124,7 +137,7 @@ class RationalFunctionSpec:
             names |= symbols_in(root)
             if VARIABLE in names:
                 raise ValueError(f"root {idx} contains the decomposition variable '{VARIABLE}'")
-        rng = random.Random(repr(self.factors))
+        rng = random.Random(_seed_text(self.factors))
         undefined = set(range(len(roots)))  # roots that divided by zero in every trial
         tied = None  # pairs that no trial told apart
         for trial in range(1 + _EXTRA_TRIALS):
@@ -252,28 +265,49 @@ def _pole_contributions(
 ) -> Iterator[tuple[int, int, int, Expr]]:
     """Yield (l, pole_index, order, coefficient), the contributions of
     :func:`proper_contributions` to x^l / Q for each l in ``degrees``; with
-    ``residues_only``, only those of order 1 (the residues)."""
+    ``residues_only``, only those of order 1 (the residues).
+
+    Per pole, the differences a_i - a_k and their powers (a_i - a_k)^-(m_k+j),
+    j < m_i, are built once.  When a_i is a Symbol and every difference is a
+    Sum, a contribution is assembled as the canonical Product directly: the
+    bases are pairwise distinct (the spec refuses equal roots), the Symbol
+    sorts first, the differences keep their own sorted order, and no power
+    is a bare Sum to distribute over.  Other inputs go through product_of.
+    """
     roots, mults, n = spec.roots, spec.multiplicities, len(spec.factors)
     top = max(degrees)  # degrees may be a long range
+    negated = [-a_k for a_k in roots]
     for i in range(n):
-        a_i = roots[i]
-        others = [(roots[k], mults[k]) for k in range(n) if k != i]
-        diffs = [a_i - a_k for a_k, _ in others]  # reused across compositions
-        for comp in compositions(mults[i] - 1, n + 1):
+        a_i, m_i = roots[i], mults[i]
+        others = [k for k in range(n) if k != i]
+        diffs = [a_i + negated[k] for k in others]
+        powers = [
+            [diff ** -(mults[k] + j) for j in range(m_i)] for k, diff in zip(others, diffs)
+        ]
+        direct = isinstance(a_i, Symbol) and all(isinstance(d, Sum) for d in diffs)
+        by_base = sorted(range(n - 1), key=diffs.__getitem__)
+        for comp in compositions(m_i - 1, n + 1):
             j_num, j_pole = comp[0], comp[1]
             if j_num > top or (residues_only and j_pole):
                 continue
-            rest, parts = 1, []
-            for (a_k, m_k), diff, j_k in zip(others, diffs, comp[2:]):
-                rest *= binomial(m_k + j_k - 1, j_k)
+            rest = 1
+            for k, j_k in zip(others, comp[2:]):
+                rest *= binomial(mults[k] + j_k - 1, j_k)
                 if j_k % 2:
                     rest = -rest
-                parts.append(diff ** (-(m_k + j_k)))
+            parts = tuple(powers[p][comp[2 + p]] for p in by_base)
             for l in degrees:
                 scale = binomial(l, j_num) * rest
-                if scale:
-                    yield l, i, j_pole + 1, product_of(
-                        [a_i ** (l - j_num), *parts, Constant(scale)])
+                if not scale:
+                    continue
+                e = l - j_num
+                if direct:
+                    head = (Constant(scale),) if scale != 1 else ()
+                    factors = head + ((a_i**e,) if e else ()) + parts
+                    c = Product(factors) if len(factors) > 1 else factors[0] if factors else ONE
+                else:
+                    c = product_of([a_i**e, *parts, Constant(scale)])
+                yield l, i, j_pole + 1, c
 
 
 def _quotient_contributions(spec: RationalFunctionSpec) -> Iterator[MonomialTerm]:

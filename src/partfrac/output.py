@@ -60,43 +60,47 @@ def _render_fraction(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-def _render_power(e: Power) -> str:
+def _render_power(e: Power, memo: dict[Expr, str]) -> str:
     base = e.base
-    base_s = base.name if isinstance(base, Symbol) else f"({_render_sum_level(base)})"
+    base_s = base.name if isinstance(base, Symbol) else f"({_render_sum_level(base, memo)})"
     exp_s = str(e.exponent) if e.exponent >= 0 else f"({e.exponent})"
     return f"{base_s}^{exp_s}"
 
 
-def _render_factor(e: Expr) -> str:
-    """Render for use inside a '*'-joined product."""
+def _render_factor(e: Expr, memo: dict[Expr, str]) -> str:
+    """Render for use inside a '*'-joined product.  ``memo`` maps each Power
+    rendered so far to its text, so a shared power is rendered once."""
+    if isinstance(e, Power):
+        text = memo.get(e)
+        if text is None:
+            text = memo[e] = _render_power(e, memo)
+        return text
+    if isinstance(e, Symbol):
+        return e.name
     if isinstance(e, Constant):
         v = e.value
         if v.denominator == 1 and v >= 0:
             return str(v.numerator)
         return f"({_render_fraction(v)})"
-    if isinstance(e, Symbol):
-        return e.name
-    if isinstance(e, Power):
-        return _render_power(e)
     if isinstance(e, Sum):
-        return f"({_render_sum_level(e)})"
-    return "*".join(_render_factor(f) for f in e.factors)
+        return f"({_render_sum_level(e, memo)})"
+    return "*".join([_render_factor(f, memo) for f in e.factors])
 
 
-def _render_term(e: Expr) -> str:
+def _render_term(e: Expr, memo: dict[Expr, str]) -> str:
     """Render a term for use inside a ' + '-joined sum; a Sum gets
     parentheses."""
+    if isinstance(e, Symbol):  # most terms of a root difference: skip a call
+        return e.name
+    if isinstance(e, Product):
+        return "*".join([_render_factor(f, memo) for f in e.factors])
     if isinstance(e, Constant):
         return _render_fraction(e.value)
-    if isinstance(e, Product):
-        return "*".join(_render_factor(f) for f in e.factors)
-    return _render_factor(e)
+    return _render_factor(e, memo)
 
 
 def _sign_split(e: Expr) -> tuple[bool, Expr]:
     """Split a leading negative rational off a term: -3*a -> (True, 3*a)."""
-    if isinstance(e, Constant) and e.value < 0:
-        return True, Constant(-e.value)
     if isinstance(e, Product):
         head = e.factors[0]
         if isinstance(head, Constant) and head.value < 0:
@@ -104,51 +108,49 @@ def _sign_split(e: Expr) -> tuple[bool, Expr]:
             if head.value == -1:
                 return True, rest[0] if len(rest) == 1 else Product(rest)
             return True, Product((Constant(-head.value),) + rest)
+    elif isinstance(e, Constant) and e.value < 0:
+        return True, Constant(-e.value)
     return False, e
 
 
-def _render_sum_level(e: Expr) -> str:
-    if not isinstance(e, Sum):
-        negative, magnitude = _sign_split(e)
-        body = _render_term(magnitude)
-        return f"-{body}" if negative else body
+def _render_sum_level(e: Expr, memo: dict[Expr, str]) -> str:
     pieces = []
-    for i, t in enumerate(e.terms):
+    for t in e.terms if isinstance(e, Sum) else (e,):
         negative, magnitude = _sign_split(t)
-        body = _render_term(magnitude)
-        if i == 0:
-            pieces.append(f"-{body}" if negative else body)
-        else:
-            pieces.append(f" - {body}" if negative else f" + {body}")
+        pieces.append(" - " if negative else " + ")
+        pieces.append(_render_term(magnitude, memo))
+    pieces[0] = "-" if pieces[0] == " - " else ""  # the first term's sign
     return "".join(pieces)
 
 
 def render_expr(e: Expr) -> str:
     """Deterministic infix text; parses back to the same canonical Expr."""
-    return _render_sum_level(e)
+    return _render_sum_level(e, {})
 
 
 # --- decomposition term rendering --------------------------------------------
 
 
-def _pole_base(root: Expr, order: int) -> str:
+def _pole_base(root: Expr, order: int, memo: dict[Expr, str]) -> str:
     negative, magnitude = _sign_split(root)
     sign = "+" if negative else "-"
-    return f"({VARIABLE} {sign} {_render_term(magnitude)})^(-{order})"
+    return f"({VARIABLE} {sign} {_render_term(magnitude, memo)})^(-{order})"
 
 
-def _infix_body(term: MonomialTerm | PoleTerm, magnitude: Expr, root: Expr | None) -> str:
+def _infix_body(
+    term: MonomialTerm | PoleTerm, magnitude: Expr, root: Expr | None, memo: dict[Expr, str]
+) -> str:
     if isinstance(term, MonomialTerm):
         if term.degree == 0:
-            return _render_term(magnitude)
+            return _render_term(magnitude, memo)
         x_s = VARIABLE if term.degree == 1 else f"{VARIABLE}^{term.degree}"
         if magnitude == ONE:
             return x_s
-        return f"{_render_factor(magnitude)}*{x_s}"
-    base = _pole_base(root, term.order)
+        return f"{_render_factor(magnitude, memo)}*{x_s}"
+    base = _pole_base(root, term.order, memo)
     if magnitude == ONE:
         return base
-    return f"{_render_factor(magnitude)}*{base}"
+    return f"{_render_factor(magnitude, memo)}*{base}"
 
 
 # --- term streams ------------------------------------------------------------
@@ -168,20 +170,23 @@ def term_chunks(d: Decomposition, fmt: OutputFormat = OutputFormat()) -> Iterato
     """Yield the serialized form of ``d`` one term at a time.
 
     Joining all chunks gives exactly :func:`serialize`'s output; streaming
-    consumers never need the whole text in memory.
+    consumers never need the whole text in memory.  Each distinct Power is
+    rendered once per call: its text is kept for the rest of the stream.
     """
     d = _prepared(d, fmt)
+    memo: dict[Expr, str] = {}
     if fmt.mode == "structured":
         for mono in d.monomials:
-            yield f"M {mono.degree} {render_expr(mono.coefficient)}\n"
+            yield f"M {mono.degree} {_render_sum_level(mono.coefficient, memo)}\n"
         for pole in d.poles:
-            yield f"P {pole.pole_index + 1} {pole.order} {render_expr(pole.coefficient)}\n"
+            text = _render_sum_level(pole.coefficient, memo)
+            yield f"P {pole.pole_index + 1} {pole.order} {text}\n"
         return
     emitted = False
     for term in (*d.monomials, *d.poles):
         root = d.roots[term.pole_index] if isinstance(term, PoleTerm) else None
         negative, magnitude = _sign_split(term.coefficient)
-        body = _infix_body(term, magnitude, root)
+        body = _infix_body(term, magnitude, root, memo)
         if not emitted:
             yield f"-{body}" if negative else body
             emitted = True

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from partfrac import Constant, RationalFunctionSpec, Symbol
+from partfrac import Constant, Expr, RationalFunctionSpec, Symbol
 
 
 def distinct_rationals(rng: random.Random, n: int) -> list[Fraction]:
@@ -55,4 +55,25 @@ def random_symbolic_spec(
     else:
         l = rng.randint(0, 2 * m)
     roots = [Symbol(f"a{i + 1}") for i in range(n)]
+    return RationalFunctionSpec(l, tuple(zip(roots, mults)))
+
+
+_a1, _a2, _a3 = (Symbol(f"a{i}") for i in (1, 2, 3))
+# Pairwise distinct roots of every kind: symbols, sums, differences, scaled
+# symbols, rationals and zero.
+MIXED_ROOTS: tuple[Expr, ...] = (
+    _a1, _a2, _a3, _a1 + _a2, _a1 - _a2, _a2 - _a3 + 1, 2 * _a1, Fraction(-1, 3) * _a3,
+    Constant(0), Constant(1), Constant(Fraction(-5, 2)),
+)
+
+
+def random_mixed_spec(
+    rng: random.Random, max_n: int = 4, max_mult: int = 2
+) -> RationalFunctionSpec:
+    """Spec with up to ``max_n`` roots drawn from MIXED_ROOTS and a numerator
+    degree l in [0, 2m]."""
+    n = rng.randint(1, max_n)
+    mults = [rng.randint(1, max_mult) for _ in range(n)]
+    l = rng.randint(0, 2 * sum(mults))
+    roots = rng.sample(MIXED_ROOTS, n)
     return RationalFunctionSpec(l, tuple(zip(roots, mults)))

@@ -172,13 +172,15 @@ def test_huge_integers_end_in_one_line(in_tmp, capsys):
         assert os.listdir(in_tmp) == [], root
     assert run_cli(capsys, "0,1", "(-1)^(3^4^5)")[:2] == (0, "(x + 1)^(-1)\n")
     os.remove(in_tmp / "result.out")
-    # the root renders, but the quotient coefficients 10^(500*j) do not
-    for quiet in ((), ("--quiet",)):
-        code, out, err = run_cli(capsys, *quiet, "10,1", "10^500")
-        assert code == 1 and out == "", quiet
-        assert err.startswith("partfrac: error: cannot render the result:"), quiet
-        assert err.count("\n") == 1 and "Traceback" not in err, quiet
-        assert os.listdir(in_tmp) == [], quiet
+    # the root renders, but the quotient coefficients 10^(500*j) do not; and
+    # a root folded to 8001 digits is accepted, then cannot be rendered
+    for argv in (("10,1", "10^500"), ("0,1,1", "10^4000*10^4000,b")):
+        for quiet in ((), ("--quiet",)):
+            code, out, err = run_cli(capsys, *quiet, *argv)
+            assert code == 1 and out == "", (argv, quiet)
+            assert err.startswith("partfrac: error: cannot render the result:"), (argv, quiet)
+            assert err.count("\n") == 1 and "Traceback" not in err, (argv, quiet)
+            assert os.listdir(in_tmp) == [], (argv, quiet)
 
 
 def test_work_without_bound_ends_in_one_line(in_tmp, capsys):

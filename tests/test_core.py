@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from partfrac import (
     ONE,
@@ -25,6 +26,7 @@ from partfrac import (
     evaluate,
     oracle_decompose,
     poly_div,
+    product_of,
     proper_contributions,
     serialize,
     Sum,
@@ -32,10 +34,10 @@ from partfrac import (
     expand,
     symbols,
 )
-from partfrac import core, expr, oracle
+from partfrac import core, expr, oracle, output
 from partfrac.core import MAX_EXPANDED_TERMS, MAX_OUTPUT_TERMS, _expanded_terms
 from partfrac.expr import _distinct_nodes
-from helpers import random_rational_spec, random_symbolic_spec
+from helpers import MIXED_ROOTS, random_rational_spec, random_symbolic_spec
 from test_expr import _canonical_or_skip, raw_trees
 
 a, b, c = symbols("a b c")
@@ -139,6 +141,16 @@ def test_roots_whose_constants_vanish_mod_a_fixed_prime_are_accepted():
         assert spec.roots[0] == Constant(Fraction(1, denominator))
 
 
+def test_roots_holding_integers_too_long_for_decimal_are_accepted():
+    # the spec seeds its root check without converting any int to decimal
+    huge = Constant(10**8000)  # 8001 digits, past the default 4300-digit limit
+    for root in (huge, huge * a + Fraction(1, 3) * huge):
+        spec = spec_of(0, (root, 1), (b, 1))
+        d = decompose(spec)
+        assert [(t.pole_index, t.order) for t in d.poles] == [(0, 1), (1, 1)]
+        assert d.poles[0].coefficient == 1 / (root - b)
+
+
 @settings(max_examples=150)
 @given(raw_trees)
 def test_roots_equal_as_rational_functions_are_refused(tree):
@@ -232,6 +244,41 @@ def test_contribution_count_matches_composition_enumeration():
             assert sum(1 for _ in compositions(m_i - 1, n + 1)) == binomial(
                 m_i - 1 + n, n
             )
+
+
+def _contributions_by_product_of(spec, degrees, residues_only):
+    """The closed formula's contributions, each built by product_of."""
+    roots, mults, n = spec.roots, spec.multiplicities, len(spec.factors)
+    for i, a_i in enumerate(roots):
+        others = [k for k in range(n) if k != i]
+        for comp in compositions(mults[i] - 1, n + 1):
+            j_num, j_pole = comp[0], comp[1]
+            if residues_only and j_pole:
+                continue
+            rest = 1
+            for k, j_k in zip(others, comp[2:]):
+                rest *= binomial(mults[k] + j_k - 1, j_k) * (-1) ** j_k
+            for l in degrees:
+                scale = binomial(l, j_num) * rest
+                if scale:
+                    parts = [(a_i - roots[k]) ** -(mults[k] + j_k)
+                             for k, j_k in zip(others, comp[2:])]
+                    yield l, i, j_pole + 1, product_of([scale, a_i ** (l - j_num), *parts])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 10), st.integers(1, 3)), min_size=1, max_size=5,
+             unique_by=lambda pair: pair[0]),
+    st.lists(st.integers(0, 20), min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_pole_contributions_equal_their_product_of_form(factors, degrees, residues_only):
+    # symbols, sums, differences, scaled symbols, rationals and zero, alone
+    # or mixed; the degrees make proper and improper numerators
+    spec = spec_of(0, *((MIXED_ROOTS[r], m) for r, m in factors))
+    got = list(core._pole_contributions(spec, degrees, residues_only))
+    assert got == list(_contributions_by_product_of(spec, degrees, residues_only))
 
 
 def test_pole_orders_bounded_by_multiplicity():
@@ -562,3 +609,41 @@ def test_integral_coefficients_make_no_python_level_fraction_calls(fraction_call
     assert check_by_substitution(spec, d, trials=1, seed=5).passed
     powers = _power_nodes([*spec.roots, *(t.coefficient for t in (*d.monomials, *d.poles))])
     assert len(raised) == len(powers) and fraction_calls["__pow__"] == 0
+
+
+# --- repeated work stays out --------------------------------------------------------
+
+
+def _roots23_spec():
+    """23 symbol roots, four of them triple, as in the proper_symbolic bench."""
+    rng = random.Random(23)
+    mults = [3] * 4 + [1] * 19
+    rng.shuffle(mults)
+    roots = [Symbol(f"a{i + 1}") for i in range(23)]
+    return RationalFunctionSpec(0, tuple(zip(roots, mults)))
+
+
+def test_symbol_root_contributions_are_built_without_product_of(monkeypatch):
+    spec = _roots23_spec()
+    calls = []
+    real = expr._make_product
+    monkeypatch.setattr(expr, "_make_product", lambda fs: calls.append(1) or real(fs))
+    contributions = list(core._pole_contributions(spec, (0,)))
+    assert len(contributions) == 1123
+    # one call per root, to negate it once; none per difference or contribution
+    assert len(calls) == 23
+
+
+def test_serialize_renders_each_distinct_power_once(monkeypatch):
+    d = decompose(_roots23_spec())
+    rendered = Counter()
+    real = output._render_power
+    monkeypatch.setattr(
+        output, "_render_power", lambda e, *args: rendered.update([e]) or real(e, *args)
+    )
+    for mode in ("infix", "structured"):
+        rendered.clear()
+        serialize(d, OutputFormat(mode=mode))
+        powers = _power_nodes([t.coefficient for t in d.poles])
+        assert len(powers) == 682 and set(rendered) == powers
+        assert max(rendered.values()) == 1

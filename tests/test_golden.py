@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from helpers import random_rational_spec, random_symbolic_spec
+from helpers import random_mixed_spec, random_rational_spec, random_symbolic_spec
 from partfrac import OutputFormat, Symbol, decompose, decompose_batch, serialize
 
 FORMATS = [
@@ -58,6 +58,7 @@ CLASSES = {
         decompose, _specs(random_symbolic_spec, 104, 30, max_n=3, numerator="improper")
     ),
     "batch": lambda: _batches(105, 20),
+    "mixed": lambda: map(decompose, _specs(random_mixed_spec, 106, 40)),
 }
 
 GOLDEN = {
@@ -66,6 +67,7 @@ GOLDEN = {
     "symbolic_proper": "a275077c406bdbb86920fe12ece3f3f4f7e4e146015e020000e2676ba8505013",
     "symbolic_improper": "7d92b53a6279c90fe72dc8acd9c225d166b7b4c75ddc1b9e319313cafbbbd39c",
     "batch": "325fd9668a56e8a93836efe4afbf4e155225ebba17b4f887d1d6565219be4e94",
+    "mixed": "c8cb157430c67abc9272d0a9c650758fd4474c87ababb2a8b2aba4783304ee45",
 }
 
 

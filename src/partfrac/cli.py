@@ -1,35 +1,13 @@
-"""Command line front end.
-
-Usage mirrors the library's input form: two positional strings, first the
-comma-separated integers ``l, m_1, ..., m_n`` (numerator exponent followed by
-the factor multiplicities), then the comma-separated roots.  The
-decomposition variable is always ``x``; roots therefore must not mention
-``x``.  Results go to stdout and, via the streaming writer, to ``result.out``
-(overwritten; configurable with --output).  The file is written under a
-temporary name in the same directory and renamed into place when complete,
-so a failed write leaves no partial result.
-
-Options may stand before, between or after the positionals and must be
-spelled in full (``--verify 3``, or ``--format=structured``).  Any argument
-that reads as an option is one, so ``-h`` anywhere prints the help; a root
-or exponent list that reads as an option, such as the root ``-h``, goes after
-``--``.  Every other argument is a positional, even one starting with ``-``
-or ``--`` (``partfrac 0,1 --a`` decomposes the root ``--a``, that is ``a``).
-
-Exit status: 0 success, 1 usage or input error (one line on stderr), 2
-verification failure.  ``--verify`` evaluates modulo random 62-bit primes,
-so no result is too large to verify.
-"""
+"""Command line front end.  ``_HELP`` below is its documentation."""
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import io
 import itertools
 import os
 import shutil
 import sys
+from types import SimpleNamespace
 from typing import Sequence
 
 from .core import RationalFunctionSpec, decompose
@@ -38,90 +16,99 @@ from .oracle import check_by_substitution, compare_with_oracle
 from .output import OutputFormat, StreamBuffer, term_chunks, write_streaming
 from .parser import parse_root_list
 
-__all__ = ["build_arg_parser", "run", "main"]
+__all__ = ["run", "main"]
 
 _VERIFY_SEED = 271828  # fixed so failures reproduce
 
+_HELP = """\
+usage: partfrac [options] EXPONENTS ROOTS
 
-# Every option, as the keywords of its add_argument call.  The parser is built
-# from this table and _rearrange reads it, so the two cannot disagree.
-_OPTIONS = {
-    ("-h", "--help"): dict(action="help", help="show this help message and exit"),
-    ("--format",): dict(
-        choices=("infix", "structured"), default="infix", help="output mode (default: infix)"
-    ),
-    ("--expand",): dict(
-        action="store_true", help="expand coefficient products over sums in the output"
-    ),
-    ("--verify",): dict(
-        type=int,
-        metavar="N",
-        help="check the result by N random substitutions (plus the exact "
-        "undetermined-coefficients oracle when all roots are rational)",
-    ),
-    ("--output",): dict(
-        default="result.out",
-        metavar="PATH",
-        help="output file, overwritten if present (default: result.out)",
-    ),
-    ("--quiet",): dict(action="store_true", help="suppress stdout result"),
+Exact partial fraction decomposition of x^l / ((x-a_1)^(m_1) * ... *
+(x-a_n)^(m_n)) with symbolic or rational roots; roots must not mention x.
+
+  EXPONENTS      comma-separated integers l,m_1,...,m_n: the numerator
+                 exponent, then the multiplicities
+  ROOTS          comma-separated roots a_1,...,a_n
+
+options:
+  -h, --help     show this help message and exit
+  --format MODE  output mode, infix or structured (default: infix)
+  --expand       expand coefficient products over sums in the output
+  --verify N     check the result by N random substitutions modulo 62-bit
+                 primes, plus the exact undetermined-coefficients oracle
+                 when all roots are rational
+  --output PATH  result file, replaced when complete (default: result.out)
+  --quiet        do not print the result on stdout
+
+Options stand anywhere, spelled in full: --verify 3 or --verify=3.  A value
+is never -- or an option, and a repeated option keeps its last value.  Every
+other argument is a positional, even one that starts with -: partfrac 0,1 --a
+decomposes the root --a, that is a.  -h prints this help wherever it stands.
+Everything after -- is a positional: partfrac 0,1 -- -h.
+
+exit status: 0 success, 1 usage or input error (one line on stderr),
+2 verification failure
+
+example: partfrac 3,5,7,11 a1,a2,a3
+"""
+
+# every option string, and whether it takes a value
+_TAKES_VALUE = {
+    "-h": False, "--help": False, "--expand": False, "--quiet": False,
+    "--format": True, "--verify": True, "--output": True,
 }
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="partfrac",
-        description=(
-            "Exact partial fraction decomposition of x^l / ((x-a_1)^(m_1) * ... * "
-            "(x-a_n)^(m_n)) with symbolic or rational roots."
-        ),
-        epilog='example: partfrac "3,5,7,11" "a1,a2,a3".  Options are spelled in '
-        "full; arguments after -- are never options (partfrac 0,1 -- -h).",
-        add_help=False,
-        allow_abbrev=False,
-    )
-    ap.add_argument(
-        "exponents",
-        help="comma-separated integers l,m_1,...,m_n: numerator exponent then multiplicities",
-    )
-    ap.add_argument("roots", help="comma-separated roots a_1,...,a_n (expressions without x)")
-    for names, keywords in _OPTIONS.items():
-        ap.add_argument(*names, **keywords)
-    return ap
+def _option_value(name: str, value: str):
+    if name == "--format" and value not in ("infix", "structured"):
+        raise ValueError(f"--format must be infix or structured, not {value!r}")
+    if name == "--verify":
+        try:
+            value = int(value)
+        except ValueError:
+            raise ValueError(f"--verify needs an integer, not {value!r}") from None
+        if value < 1:
+            raise ValueError("--verify needs a positive trial count")
+    return value
 
 
-def _rearrange(argv: Sequence[str]) -> list[str]:
-    """Move options ahead of positionals and shield the positionals behind
-    '--', so roots like "-1,-2,-3" or "--a" are not mistaken for options.  A
-    token is an option only when it is one of the option strings, in full,
-    or "--name=value" for one of them.  With more than two positionals, the
-    first one before '--' that starts with '-' is named as an unrecognized
-    option (ValueError), unless help was asked for."""
-    # an option with an action (help, store_true) takes no value
-    takes_value = {s: "action" not in kw for names, kw in _OPTIONS.items() for s in names}
-    flags: list[str] = []
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """Read argv in one pass, by the rules in ``_HELP``; None when help was
+    asked for.  Raises ValueError for every usage error.  With more than two
+    positionals, the first one before ``--`` that starts with ``-`` is named
+    as an unrecognized option."""
+    head = argv[: argv.index("--")] if "--" in argv else argv
+    if "-h" in head or "--help" in head:
+        return None
+    ns = SimpleNamespace(format="infix", expand=False, verify=None, output="result.out",
+                         quiet=False)
     positionals: list[str] = []
     stray = None
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
+    tokens = iter(argv)
+    for tok in tokens:
+        name, eq, value = tok.partition("=")
         if tok == "--":
-            positionals.extend(argv[i + 1 :])
-            break
-        name, eq, _ = tok.partition("=")
-        if name in takes_value:
-            flags.append(tok)
-            if takes_value[name] and not eq and i + 1 < len(argv):
-                i += 1
-                flags.append(argv[i])
-        else:
+            positionals.extend(tokens)
+        elif name not in _TAKES_VALUE:
             if stray is None and tok.startswith("-"):
                 stray = tok
             positionals.append(tok)
-        i += 1
-    if len(positionals) > 2 and stray is not None and not {"-h", "--help"} & set(flags):
+        elif not _TAKES_VALUE[name]:  # a flag; -h and --help alone returned above
+            if eq:
+                raise ValueError(f"{name} takes no value")
+            setattr(ns, name[2:], True)
+        else:
+            if not eq:
+                value = next(tokens, "--")
+                if value == "--" or value.partition("=")[0] in _TAKES_VALUE:
+                    raise ValueError(f"{name} needs a value")
+            setattr(ns, name[2:], _option_value(name, value))
+    if len(positionals) > 2 and stray is not None:
         raise ValueError(f"unrecognized option: {stray}")
-    return flags + ["--"] + positionals
+    if len(positionals) != 2:
+        raise ValueError(f"expected the arguments EXPONENTS and ROOTS, got {len(positionals)}")
+    ns.exponents, ns.roots = positionals
+    return ns
 
 
 def _parse_exponents(src: str) -> tuple[int, list[int]]:
@@ -190,25 +177,28 @@ def _verify(spec: RationalFunctionSpec, d, trials: int) -> list[str]:
     return failures
 
 
-def run(argv: Sequence[str] | None = None) -> int:
-    ap = build_arg_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+def _to_stdout(text: str) -> bool:
+    """Write ``text`` to stdout; report a failure in one line and return
+    False."""
     try:
-        with contextlib.redirect_stderr(io.StringIO()) as usage:
-            ns = ap.parse_args(_rearrange(argv))
-    except SystemExit as exc:  # argparse printed the usage, then its message
-        if exc.code in (0, None):
-            return 0
-        print(usage.getvalue().splitlines()[-1], file=sys.stderr)
-        return 1
-    except ValueError as err:
-        print(f"partfrac: error: {err}", file=sys.stderr)
-        return 1
+        if sys.stdout is None:  # started with stdout closed
+            raise OSError("stdout is closed")
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as err:
+        # what the stream still holds would fail again when the interpreter
+        # flushes it at exit
+        sys.stdout = open(os.devnull, "w")
+        print(f"partfrac: error: cannot write stdout: {err}", file=sys.stderr)
+        return False
+    return True
 
+
+def run(argv: Sequence[str] | None = None) -> int:
     try:
-        if ns.verify is not None and ns.verify < 1:
-            raise ValueError("--verify needs a positive trial count")
+        ns = _parse_args(sys.argv[1:] if argv is None else argv)
+        if ns is None:
+            return 0 if _to_stdout(_HELP) else 1
         spec = _build_spec(ns.exponents, ns.roots)
     except ValueError as err:
         print(f"partfrac: error: {err}", file=sys.stderr)
@@ -231,10 +221,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except ValueError as err:  # an integer too long to convert to text
         print(f"partfrac: error: cannot render the result: {err}", file=sys.stderr)
         return 1
-
-    if not ns.quiet:
-        sys.stdout.write("".join(chunks))
-        sys.stdout.flush()
+    if not ns.quiet and not _to_stdout("".join(chunks)):
+        return 1
 
     if ns.verify is not None:
         failures = _verify(spec, d, ns.verify)

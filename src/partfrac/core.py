@@ -23,6 +23,7 @@ the same input always yields byte-identical output downstream.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,8 +117,10 @@ class RationalFunctionSpec:
     factors: tuple[tuple[Expr, int], ...]
 
     def __post_init__(self):
+        # operator.index refuses floats and other non-integral numbers
+        object.__setattr__(self, "numerator_degree", operator.index(self.numerator_degree))
         object.__setattr__(
-            self, "factors", tuple((root, int(mult)) for root, mult in self.factors)
+            self, "factors", tuple((root, operator.index(mult)) for root, mult in self.factors)
         )
         if self.numerator_degree < 0:
             raise ValueError(f"numerator degree must be >= 0, got {self.numerator_degree}")

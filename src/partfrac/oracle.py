@@ -256,6 +256,8 @@ def check_by_substitution(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if points_per_trial < 1:
+        raise ValueError(f"points_per_trial must be >= 1, got {points_per_trial}")
     nodes, shared = _distinct_nodes(
         (*spec.roots, *d.roots, *(t.coefficient for t in (*d.monomials, *d.poles)))
     )

@@ -95,6 +95,11 @@ def test_help_exits_0(in_tmp, capsys):
     code, out, _ = run_cli(capsys, "0,1", "-h")
     assert code == 0 and out.startswith("usage: partfrac")
     assert os.listdir(in_tmp) == []
+    # ... even after an option with a bad value; it names every option
+    code, out, _ = run_cli(capsys, "--format", "latex", "0,1", "a", "--help")
+    assert code == 0 and out == cli._HELP
+    for option in cli._TAKES_VALUE:
+        assert option in out, option
 
 
 def test_unknown_flag_exits_1(in_tmp, capsys):
@@ -120,6 +125,7 @@ def test_roots_that_look_like_options(in_tmp, capsys):
     assert run_cli(capsys, "0,1", "--a")[:2] == (0, "(x - a)^(-1)\n")
     assert run_cli(capsys, "0,1", "--", "-h")[:2] == (0, "(x + h)^(-1)\n")
     assert (in_tmp / "result.out").read_text() == "(x + h)^(-1)\n"
+    assert run_cli(capsys, "0,1", "--", "--verify") == (0, "(x - verify)^(-1)\n", "")
 
 
 def test_quiet_suppresses_stdout_but_writes_file(in_tmp, capsys):
@@ -266,6 +272,10 @@ def test_structured_format(in_tmp, capsys):
     assert code == 0
     assert (in_tmp / "result.out").read_bytes() == out.encode()
     assert run_cli(capsys, "0,1", "a", "--format=structured")[:2] == (0, "P 1 1 1\n")
+    # a repeated option keeps its last value
+    argv = ("--format", "infix", "--format", "structured", "0,1", "a")
+    assert run_cli(capsys, *argv)[:2] == (0, "P 1 1 1\n")
+    assert (in_tmp / "result.out").read_text() == "P 1 1 1\n"
 
 
 def test_expand_flag(in_tmp, capsys):
@@ -314,18 +324,70 @@ def test_verify_failure_exits_2(in_tmp, capsys, monkeypatch):
     assert "oracle" in err
 
 
-def test_module_entry_point(in_tmp):
+class _BrokenPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+
+@pytest.mark.parametrize("stdout", [_BrokenPipe(), None])
+def test_unwritable_stdout_ends_in_one_line(in_tmp, capsys, stdout):
+    # set by hand: monkeypatch would restore it after capsys has finished
+    captured, sys.stdout = sys.stdout, stdout
+    try:
+        code = cli.run(["0,1", "a"])
+        assert sys.stdout.name == os.devnull  # what is left goes nowhere
+        sys.stdout.close()
+    finally:
+        sys.stdout = captured
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("partfrac: error: cannot write stdout: ") and err.count("\n") == 1
+    # the result file was complete before stdout was written, and it stays
+    assert (in_tmp / "result.out").read_text() == "(x - a)^(-1)\n"
+
+
+def _child_env():
     # The child runs from in_tmp, where a relative PYTHONPATH (such as
     # PYTHONPATH=src) no longer resolves; point it at the package under test.
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+
+
+def test_stdout_pipe_without_reader_ends_in_one_line(in_tmp):
+    # buffered, so the interpreter would flush what is left again at exit
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "partfrac", "0,1,1", "p,q"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              cwd=in_tmp, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "partfrac: error: cannot write stdout: [Errno 32] Broken pipe\n"
+    assert (in_tmp / "result.out").exists()
+
+
+def test_importing_the_cli_leaves_argparse_out(in_tmp):
+    # every command line invocation pays for what the cli imports
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, partfrac.cli; print('argparse' in sys.modules)"],
+        capture_output=True, text=True, cwd=in_tmp, env=_child_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_module_entry_point(in_tmp):
     proc = subprocess.run(
         [sys.executable, "-m", "partfrac", "0,1,1", "p,q"],
         capture_output=True,
         text=True,
         cwd=in_tmp,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "(p - q)^(-1)*(x - p)^(-1) + (q - p)^(-1)*(x - q)^(-1)\n"

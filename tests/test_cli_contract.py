@@ -85,6 +85,12 @@ def _argv(draw):
 @example(["99999999,1", "a"])
 @example(["0,99999999", "a"])
 @example(["0,1,1", "(a+b+c)^30/(a+b+d)^30,(a+c+d)^30/(b+c+d)^30"])
+@example(["--quiet=1", "0,1", "a"])
+@example(["--expand=yes", "0,1", "a"])
+@example(["--format=latex", "0,1", "a"])
+@example(["0,1", "a", "--output"])
+@example(["0,1", "a", "--verify"])
+@example([])
 def test_every_argv_decomposes_exactly_or_ends_in_one_line(argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "result.out")
@@ -101,7 +107,7 @@ def test_every_argv_decomposes_exactly_or_ends_in_one_line(argv):
         assert os.listdir(tmp) == ["result.out"]
         with open(path, encoding="ascii") as f:
             assert f.read() == out
-    ns = cli.build_arg_parser().parse_args(cli._rearrange(argv))
+    ns = cli._parse_args(argv)
     spec = cli._build_spec(ns.exponents, ns.roots)
     d = decompose(spec)
     form = OutputFormat(mode=ns.format, expand_coefficients=ns.expand)

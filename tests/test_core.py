@@ -57,6 +57,12 @@ def test_spec_invariants():
         spec_of(0, (a, 0))
     with pytest.raises(ValueError):
         RationalFunctionSpec(0, ())
+    # non-integral degrees and multiplicities are refused, not truncated
+    with pytest.raises(TypeError):
+        spec_of(0, (a, 2.7), (b, 1))
+    with pytest.raises(TypeError):
+        spec_of(1.5, (a, 1))
+    assert spec_of(True, (a, True)) == spec_of(1, (a, 1))
     # a root whose denominator is zero: 1/(a-b) + 1/(b-a) is a nonzero Sum
     with pytest.raises(ValueError, match="undefined"):
         spec_of(0, (1 / (1 / (a - b) + 1 / (b - a)), 1), (c, 1))

@@ -221,6 +221,19 @@ def test_substitution_check_catches_perturbed_coefficient():
     assert "FAILED" in str(report)
 
 
+def test_substitution_check_refuses_to_check_nothing():
+    # zero trials or zero points would pass a wrong decomposition unchecked
+    spec = RationalFunctionSpec(1, ((a, 2), (b, 1)))
+    d = decompose(spec)
+    bad = replace(d, poles=d.poles[1:])
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            check_by_substitution(spec, bad, trials=trials)
+    for points in (0, -1):
+        with pytest.raises(ValueError, match="points_per_trial must be >= 1"):
+            check_by_substitution(spec, bad, trials=3, points_per_trial=points)
+
+
 def test_substitution_check_is_deterministic_per_seed():
     spec = RationalFunctionSpec(0, ((a, 1), (b, 2)))
     d = decompose(spec)

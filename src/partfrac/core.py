@@ -32,8 +32,8 @@ from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import binomial, compositions
-from .expr import ONE, ZERO, Constant, Expr, Power, Product, Sum, Symbol, product_of, sum_of
-from .expr import _evaluator, _random_prime, symbols_in
+from .expr import ONE, ZERO, Constant, Expr, Power, Product, Sum, Symbol, product_of
+from .expr import _evaluator, _make_sum, _random_prime, symbols_in
 
 __all__ = [
     "DuplicateRootError",
@@ -270,12 +270,14 @@ def _pole_contributions(
     :func:`proper_contributions` to x^l / Q for each l in ``degrees``; with
     ``residues_only``, only those of order 1 (the residues).
 
-    Per pole, the differences a_i - a_k and their powers (a_i - a_k)^-(m_k+j),
-    j < m_i, are built once.  When a_i is a Symbol and every difference is a
-    Sum, a contribution is assembled as the canonical Product directly: the
-    bases are pairwise distinct (the spec refuses equal roots), the Symbol
-    sorts first, the differences keep their own sorted order, and no power
-    is a bare Sum to distribute over.  Other inputs go through product_of.
+    Per pole, the differences a_i - a_k, their powers (a_i - a_k)^-(m_k+j)
+    and their signed binomials (-1)^j * C(m_k+j-1, j), j < m_i, are built
+    once, and each power a_i^e once, at its first use.  When a_i is a Symbol
+    and every difference is a Sum, a contribution is assembled as the
+    canonical Product directly: the bases are pairwise distinct (the spec
+    refuses equal roots), the Symbol sorts first, the differences keep
+    their own sorted order, and no power is a bare Sum to distribute over.
+    Other inputs go through product_of.
     """
     roots, mults, n = spec.roots, spec.multiplicities, len(spec.factors)
     top = max(degrees)  # degrees may be a long range
@@ -287,29 +289,33 @@ def _pole_contributions(
         powers = [
             [diff ** -(mults[k] + j) for j in range(m_i)] for k, diff in zip(others, diffs)
         ]
+        signed = [
+            [(-1) ** j * binomial(mults[k] + j - 1, j) for j in range(m_i)] for k in others
+        ]
+        root_powers: dict[int, Expr] = {}  # e -> a_i^e
         direct = isinstance(a_i, Symbol) and all(isinstance(d, Sum) for d in diffs)
-        by_base = sorted(range(n - 1), key=diffs.__getitem__)
+        # each difference's powers, in base order, with its slot in a composition
+        by_base = [(powers[p], 2 + p) for p in sorted(range(n - 1), key=diffs.__getitem__)]
         for comp in compositions(m_i - 1, n + 1):
             j_num, j_pole = comp[0], comp[1]
             if j_num > top or (residues_only and j_pole):
                 continue
-            rest = 1
-            for k, j_k in zip(others, comp[2:]):
-                rest *= binomial(mults[k] + j_k - 1, j_k)
-                if j_k % 2:
-                    rest = -rest
-            parts = tuple(powers[p][comp[2 + p]] for p in by_base)
+            rest = prod(map(operator.getitem, signed, comp[2:]))
+            parts = tuple([power[comp[slot]] for power, slot in by_base])
             for l in degrees:
                 scale = binomial(l, j_num) * rest
                 if not scale:
                     continue
                 e = l - j_num
+                root_power = root_powers.get(e)
+                if root_power is None:
+                    root_power = root_powers[e] = a_i**e
                 if direct:
                     head = (Constant(scale),) if scale != 1 else ()
-                    factors = head + ((a_i**e,) if e else ()) + parts
+                    factors = head + ((root_power,) if e else ()) + parts
                     c = Product(factors) if len(factors) > 1 else factors[0] if factors else ONE
                 else:
-                    c = product_of([a_i**e, *parts, Constant(scale)])
+                    c = product_of([root_power, *parts, Constant(scale)])
                 yield l, i, j_pole + 1, c
 
 
@@ -373,13 +379,17 @@ def decompose_batch(
     """Decompose a weighted sum of inputs and merge the results.
 
     Pole terms are merged by (root expression, order) across inputs, monomial
-    terms by degree; weights must not involve the decomposition variable.
-    Cancelled terms disappear entirely.
+    terms by degree.  Cancelled terms disappear entirely.  A weight that
+    involves the decomposition variable is refused with ValueError.
     """
     index: dict[Expr, int] = {}  # root -> position, in order of first use
     monomials: list[MonomialTerm] = []
     poles: list[PoleTerm] = []
-    for weight, spec in terms:
+    for idx, (weight, spec) in enumerate(terms, start=1):
+        if isinstance(weight, Expr) and VARIABLE in symbols_in(weight):
+            raise ValueError(
+                f"the weight of term {idx} contains the decomposition variable '{VARIABLE}'"
+            )
         d = decompose(spec)
         for mono in d.monomials:
             monomials.append(MonomialTerm(mono.degree, weight * mono.coefficient))
@@ -399,7 +409,7 @@ def collect(d: Decomposition) -> Decomposition:
         for term in terms:
             acc.setdefault(key(term), []).append(term.coefficient)
         for k in sorted(acc):
-            total = sum_of(acc[k])
+            total = _make_sum(acc[k])  # coefficients are canonical already
             if total != ZERO:
                 yield k, total
 

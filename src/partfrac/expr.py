@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Callable, Container, Iterable, Mapping, Union
 
 from .combinatorics import compositions, multinomial
@@ -238,46 +238,59 @@ def _make_power(base: Expr, exponent: int) -> Expr:
     return Power(base, exponent)
 
 
-def _split_coefficient(term: Expr) -> tuple[Numeric, Expr | None]:
-    """Split a canonical non-Sum term into (rational coefficient, rest)."""
-    if isinstance(term, Constant):
-        return term.value, None
-    if isinstance(term, Product) and isinstance(term.factors[0], Constant):
-        rest = term.factors[1:]
-        return term.factors[0].value, rest[0] if len(rest) == 1 else Product(rest)
-    return 1, term
-
-
 def _scale(term: Expr, c: Numeric) -> Expr:
     """c * term for a canonical non-Sum term and nonzero rational c."""
     if c == 1:
         return term
-    coeff, rest = _split_coefficient(term)
-    coeff *= c
-    if rest is None:
-        return Constant(coeff)
-    if coeff == 1:
-        return rest
-    factors = rest.factors if isinstance(rest, Product) else (rest,)
-    return Product((Constant(coeff),) + factors)
+    if isinstance(term, Constant):
+        return Constant(term.value * c)
+    factors = term.factors if isinstance(term, Product) else (term,)
+    if isinstance(factors[0], Constant):
+        c *= factors[0].value
+        factors = factors[1:]
+    if c == 1:
+        return factors[0] if len(factors) == 1 else Product(factors)
+    return Product((Constant(c),) + factors)
 
 
 def _make_sum(terms: Iterable[Expr]) -> Expr:
-    """Canonical sum of canonical children: flatten, merge like terms, sort."""
+    """Canonical sum of canonical children: flatten, merge like terms, sort.
+
+    A term is bucketed by its rest (the term without its rational
+    coefficient), keyed without building it: a Product's factors or their
+    slice past the coefficient, the one factor left, or the term itself.
+    A key tuple starts with a node and a node with its int kind, so the two
+    kinds of key never compare equal.  A term whose key is seen once is kept
+    as it is; only a real merge builds a new term.
+    """
     constant = 0
-    buckets: dict[Expr, Numeric] = {}
+    buckets: dict[tuple, list] = {}  # key -> [summed coefficient, sole term or None]
     stack = list(terms)[::-1]
     while stack:
         t = stack.pop()
         if isinstance(t, Sum):
             stack.extend(reversed(t.terms))
             continue
-        coeff, rest = _split_coefficient(t)
-        if rest is None:
-            constant += coeff
+        if isinstance(t, Constant):
+            constant += t.value
+            continue
+        coeff, key = 1, t
+        if isinstance(t, Product):
+            factors = key = t.factors
+            if isinstance(factors[0], Constant):
+                coeff = factors[0].value
+                key = factors[1:] if len(factors) > 2 else factors[1]
+        entry = buckets.get(key)
+        if entry is None:
+            buckets[key] = [coeff, t]
         else:
-            buckets[rest] = buckets.get(rest, 0) + coeff
-    parts = [_scale(rest, c) for rest, c in buckets.items() if c != 0]
+            entry[0] += coeff
+            entry[1] = None
+    parts = [
+        t if t is not None else _scale(key if isinstance(key, Expr) else Product(key), c)
+        for key, (c, t) in buckets.items()
+        if c != 0
+    ]
     if constant != 0:
         parts.append(Constant(constant))
     parts.sort()
@@ -500,16 +513,18 @@ def expand(e: Expr) -> Expr:
     """Distribute products over sums and multiply out non-negative integer
     powers of sums, each as its multinomial sum.  Negative powers are left
     alone (their bases are still expanded).  Value-preserving; the result is
-    canonical.
+    canonical.  ``e`` must be canonical: a node with nothing to expand in it
+    is returned as it is.
     """
     if isinstance(e, (Constant, Symbol)):
         return e
     if isinstance(e, Sum):
-        return _make_sum([expand(t) for t in e.terms])
+        terms = [expand(t) for t in e.terms]
+        return e if all(map(is_, terms, e.terms)) else _make_sum(terms)
     if isinstance(e, Power):
         base = expand(e.base)
         if e.exponent < 0 or not isinstance(base, Sum):
-            return _make_power(base, e.exponent)
+            return e if base is e.base else _make_power(base, e.exponent)
         return _make_sum([
             _make_product([
                 Constant(multinomial(e.exponent, parts)),
@@ -518,9 +533,12 @@ def expand(e: Expr) -> Expr:
             for parts in compositions(e.exponent, len(base.terms))
         ])
     if isinstance(e, Product):
+        factors = [expand(f) for f in e.factors]
+        if all(map(is_, factors, e.factors)) and not any(isinstance(f, Sum) for f in factors):
+            return e
         acc = ONE
-        for f in e.factors:
-            acc = _distribute(acc, expand(f))
+        for f in factors:
+            acc = _distribute(acc, f)
         return acc
     raise TypeError(f"not an expression node: {e!r}")
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import BinaryIO, Iterable, Iterator
 
 from .core import VARIABLE, Decomposition, MonomialTerm, PoleTerm, _expanded_terms, collect
-from .expr import ONE, Constant, Expr, Power, Product, Sum, Symbol, expand
+from .expr import ONE, Constant, Expr, Numeric, Power, Product, Sum, Symbol, expand
 
 __all__ = [
     "OutputFormat",
@@ -60,6 +60,13 @@ def _render_fraction(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
+def _render_rational_factor(v: Numeric) -> str:
+    """A rational inside a product; negative and fractional ones in parentheses."""
+    if v.denominator == 1 and v >= 0:
+        return str(v.numerator)
+    return f"({_render_fraction(v)})"
+
+
 def _render_power(e: Power, memo: dict[Expr, str]) -> str:
     base = e.base
     base_s = base.name if isinstance(base, Symbol) else f"({_render_sum_level(base, memo)})"
@@ -78,10 +85,7 @@ def _render_factor(e: Expr, memo: dict[Expr, str]) -> str:
     if isinstance(e, Symbol):
         return e.name
     if isinstance(e, Constant):
-        v = e.value
-        if v.denominator == 1 and v >= 0:
-            return str(v.numerator)
-        return f"({_render_fraction(v)})"
+        return _render_rational_factor(e.value)
     if isinstance(e, Sum):
         return f"({_render_sum_level(e, memo)})"
     return "*".join([_render_factor(f, memo) for f in e.factors])
@@ -114,11 +118,28 @@ def _sign_split(e: Expr) -> tuple[bool, Expr]:
 
 
 def _render_sum_level(e: Expr, memo: dict[Expr, str]) -> str:
+    """Render the terms of a Sum (or one term) with their signs.  A Product
+    is rendered from its factors, a negative head constant as ' - ' and
+    its magnitude, so no node is built for the magnitude."""
     pieces = []
     for t in e.terms if isinstance(e, Sum) else (e,):
-        negative, magnitude = _sign_split(t)
-        pieces.append(" - " if negative else " + ")
-        pieces.append(_render_term(magnitude, memo))
+        if isinstance(t, Product):
+            head = t.factors[0]
+            texts = [_render_factor(f, memo) for f in t.factors[1:]]
+            if isinstance(head, Constant) and head.value < 0:
+                pieces.append(" - ")
+                if head.value != -1:
+                    texts.insert(0, _render_rational_factor(-head.value))
+            else:
+                pieces.append(" + ")
+                texts.insert(0, _render_factor(head, memo))
+            pieces.append("*".join(texts))
+        elif isinstance(t, Constant) and t.value < 0:
+            pieces.append(" - ")
+            pieces.append(_render_fraction(-t.value))
+        else:
+            pieces.append(" + ")
+            pieces.append(_render_term(t, memo))
     pieces[0] = "-" if pieces[0] == " - " else ""  # the first term's sign
     return "".join(pieces)
 

@@ -77,3 +77,12 @@ def random_mixed_spec(
     l = rng.randint(0, 2 * sum(mults))
     roots = rng.sample(MIXED_ROOTS, n)
     return RationalFunctionSpec(l, tuple(zip(roots, mults)))
+
+
+def roots23_spec() -> RationalFunctionSpec:
+    """23 symbol roots, four of them triple, as in the proper_symbolic bench."""
+    rng = random.Random(23)
+    mults = [3] * 4 + [1] * 19
+    rng.shuffle(mults)
+    roots = [Symbol(f"a{i + 1}") for i in range(23)]
+    return RationalFunctionSpec(0, tuple(zip(roots, mults)))

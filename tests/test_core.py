@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from partfrac import (
     ONE,
     Constant,
+    Decomposition,
     DuplicateRootError,
     MonomialTerm,
     OutputFormat,
@@ -18,6 +19,7 @@ from partfrac import (
     RationalFunctionSpec,
     binomial,
     check_by_substitution,
+    collect,
     compare_with_oracle,
     compositions,
     decompose,
@@ -37,7 +39,7 @@ from partfrac import (
 from partfrac import core, expr, oracle, output
 from partfrac.core import MAX_EXPANDED_TERMS, MAX_OUTPUT_TERMS, _expanded_terms
 from partfrac.expr import _distinct_nodes
-from helpers import MIXED_ROOTS, random_rational_spec, random_symbolic_spec
+from helpers import MIXED_ROOTS, random_rational_spec, random_symbolic_spec, roots23_spec
 from test_expr import _canonical_or_skip, raw_trees
 
 a, b, c = symbols("a b c")
@@ -517,6 +519,17 @@ def test_batch_symbolic_weights():
     assert d.poles == (PoleTerm(0, 1, b + c),)
 
 
+def test_batch_refuses_a_weight_that_contains_x():
+    spec = spec_of(0, (a, 1), (b, 1))
+    x = Symbol("x")
+    for weight in (x, 2 * x, a * x**-1 + b):
+        with pytest.raises(ValueError, match="weight of term 2 contains .* variable 'x'"):
+            decompose_batch([(ONE, spec), (weight, spec)])
+    # a longer name that starts with x is another symbol
+    xa = Symbol("xa")
+    assert decompose_batch([(xa, spec)]).poles[0].coefficient == xa * (a - b) ** -1
+
+
 def test_improper_rational_reconstruction():
     rng = random.Random(777)
     for _ in range(10):
@@ -620,17 +633,8 @@ def test_integral_coefficients_make_no_python_level_fraction_calls(fraction_call
 # --- repeated work stays out --------------------------------------------------------
 
 
-def _roots23_spec():
-    """23 symbol roots, four of them triple, as in the proper_symbolic bench."""
-    rng = random.Random(23)
-    mults = [3] * 4 + [1] * 19
-    rng.shuffle(mults)
-    roots = [Symbol(f"a{i + 1}") for i in range(23)]
-    return RationalFunctionSpec(0, tuple(zip(roots, mults)))
-
-
 def test_symbol_root_contributions_are_built_without_product_of(monkeypatch):
-    spec = _roots23_spec()
+    spec = roots23_spec()
     calls = []
     real = expr._make_product
     monkeypatch.setattr(expr, "_make_product", lambda fs: calls.append(1) or real(fs))
@@ -640,8 +644,24 @@ def test_symbol_root_contributions_are_built_without_product_of(monkeypatch):
     assert len(calls) == 23
 
 
+def test_signed_binomials_and_root_powers_are_built_once_per_pole(monkeypatch):
+    spec = roots23_spec()
+    binomials, powers = [], []
+    real_binomial, real_power = core.binomial, expr._make_power
+    monkeypatch.setattr(
+        core, "binomial", lambda *args: binomials.append(args) or real_binomial(*args)
+    )
+    monkeypatch.setattr(expr, "_make_power", lambda *args: powers.append(args) or real_power(*args))
+    assert len(list(core._pole_contributions(spec, (0,)))) == 1123
+    # per pole, 22 differences times m_i signed binomials and powers; then
+    # one C(l, j_num) per contribution and one power a_i^0 per pole
+    table = 22 * sum(spec.multiplicities)
+    assert len(binomials) == table + 1123
+    assert len(powers) == table + 23
+
+
 def test_serialize_renders_each_distinct_power_once(monkeypatch):
-    d = decompose(_roots23_spec())
+    d = decompose(roots23_spec())
     rendered = Counter()
     real = output._render_power
     monkeypatch.setattr(
@@ -653,3 +673,21 @@ def test_serialize_renders_each_distinct_power_once(monkeypatch):
         powers = _power_nodes([t.coefficient for t in d.poles])
         assert len(powers) == 682 and set(rendered) == powers
         assert max(rendered.values()) == 1
+
+
+def test_collect_keeps_every_unmerged_contribution_as_it_is(monkeypatch):
+    spec = roots23_spec()
+    poles = [PoleTerm(i, order, c) for _, i, order, c in core._pole_contributions(spec, (0,))]
+    calls = []
+    real = expr._scale
+    monkeypatch.setattr(expr, "_scale", lambda t, k: calls.append(1) or real(t, k))
+    d = collect(Decomposition(spec.roots, (), poles))
+    # no two contributions of a Symbol root share a rest, so nothing merges
+    # and nothing is rebuilt: every summand is a contribution, by identity
+    assert calls == []
+    summands = [
+        t for p in d.poles
+        for t in (p.coefficient.terms if isinstance(p.coefficient, Sum) else (p.coefficient,))
+    ]
+    assert len(summands) == len(poles) == 1123
+    assert {id(t) for t in summands} == {id(p.coefficient) for p in poles}

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -11,10 +12,12 @@ from partfrac import (
     Constant,
     Power,
     Product,
+    RationalFunctionSpec,
     Sum,
     Symbol,
     UnboundSymbolError,
     canonicalize,
+    decompose,
     evaluate,
     expand,
     parse_expr,
@@ -23,7 +26,7 @@ from partfrac import (
     symbols,
     symbols_in,
 )
-from partfrac.expr import _evaluator
+from partfrac.expr import _evaluator, _make_sum
 
 a, b, c = symbols("a b c")
 
@@ -233,6 +236,23 @@ def test_expand_power_of_sum_matches_repeated_products(trees, k):
     assert expand(base**k) == _expand_power_by_repeated_products(base, k)
 
 
+def test_expand_keeps_a_node_with_nothing_to_expand():
+    spec = RationalFunctionSpec(3, ((a, 5), (b, 7), (c, 11)))
+    coefficients = [t.coefficient for t in decompose(spec).poles]
+    assert len(coefficients) == 23
+    for coefficient in coefficients:
+        assert expand(coefficient) is coefficient
+    kept = 3 * a * (a - b) ** -2 + c
+    assert expand(kept) is kept
+
+
+@settings(max_examples=150)
+@given(raw_trees)
+def test_expand_of_an_expanded_tree_is_that_tree(tree):
+    expanded = expand(_canonical_or_skip(tree))
+    assert expand(expanded) is expanded
+
+
 # --- misc ----------------------------------------------------------------------
 
 
@@ -347,6 +367,67 @@ def test_operator_order_does_not_change_a_sum(trees, rnd):
         assert left == other
         assert hash(left) == hash(other)
     assert left - right == ZERO
+
+
+def _reference_make_sum(terms):
+    """The merge as written before its keys were taken without building
+    nodes: split every term into its coefficient and its rest node, sum the
+    coefficients per rest, and rebuild every term from its rest."""
+    constant, buckets = 0, {}
+    stack = list(terms)[::-1]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Sum):
+            stack.extend(reversed(t.terms))
+        elif isinstance(t, Constant):
+            constant += t.value
+        else:
+            coeff, rest = 1, t
+            if isinstance(t, Product) and isinstance(t.factors[0], Constant):
+                coeff, rest = t.factors[0].value, t.factors[1:]
+                rest = rest[0] if len(rest) == 1 else Product(rest)
+            buckets[rest] = buckets.get(rest, 0) + coeff
+    parts = []
+    for rest, coeff in buckets.items():
+        if coeff == 1:
+            parts.append(rest)
+        elif coeff:
+            factors = rest.factors if isinstance(rest, Product) else (rest,)
+            parts.append(Product((Constant(coeff),) + factors))
+    if constant:
+        parts.append(Constant(constant))
+    parts.sort()
+    return ZERO if not parts else parts[0] if len(parts) == 1 else Sum(tuple(parts))
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.tuples(raw_trees, st.lists(st.sampled_from(["again", "negated", "merged"]), max_size=3)),
+        min_size=1,
+        max_size=5,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_merge_matches_the_reference(drawn, rnd):
+    terms = []
+    for tree, variations in drawn:
+        t = _canonical_or_skip(tree)
+        terms.append(t)
+        for variation in variations:
+            terms.extend({"again": [t], "negated": [-t], "merged": [2 * t, -t]}[variation])
+    rnd.shuffle(terms)
+    merged = _make_sum(terms)
+    assert merged == _reference_make_sum(terms)
+    assert canonicalize(merged) == merged
+
+
+def test_merge_keeps_a_term_seen_once_as_it_is():
+    p, q, r = 3 * a * b, b**-2, -c
+    s = _make_sum([p, q, a, -a + r])
+    assert s == p + q + r
+    assert all(map(operator.is_, s.terms, sorted([p, q, r])))  # a and -a cancelled
+    assert _make_sum([q]) is q and _make_sum([p, 2 * a * b]) == 5 * a * b
 
 
 @settings(max_examples=150)

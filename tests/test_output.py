@@ -27,7 +27,10 @@ from partfrac import (
     write_decomposition,
     write_streaming,
 )
-from helpers import random_rational_spec, random_symbolic_spec
+from partfrac import output
+from partfrac.expr import Expr, Product, Sum
+from helpers import random_rational_spec, random_symbolic_spec, roots23_spec
+from test_expr import _canonical_or_skip, raw_trees
 
 a, b = symbols("a b")
 
@@ -205,6 +208,51 @@ def test_coefficient_round_trip_through_parser():
         d = decompose(spec)
         for term in (*d.monomials, *d.poles):
             assert parse_expr(render_expr(term.coefficient)) == term.coefficient
+
+
+def _reference_sum_level(e, memo):
+    """The sum level as written before signs were rendered without new
+    nodes: split the sign off each term as a node, then render that node."""
+    pieces = []
+    for t in e.terms if isinstance(e, Sum) else (e,):
+        negative, magnitude = output._sign_split(t)
+        pieces.append(" - " if negative else " + ")
+        pieces.append(output._render_term(magnitude, memo))
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
+
+
+@settings(max_examples=300)
+@given(raw_trees, st.integers(0, 2**32))
+def test_sum_level_matches_the_sign_split_reference(tree, seed):
+    rng = random.Random(seed)
+    bindings = {name: Fraction(rng.randint(1, 50), rng.randint(1, 20)) for name in "abc"}
+    canon = _canonical_or_skip(tree)
+    for e in (canon, -canon):
+        text = output._render_sum_level(e, {})
+        assert text == _reference_sum_level(e, {})
+        parsed = parse_expr(text)
+        try:
+            value = evaluate(e, bindings)
+        except ZeroDivisionError:
+            continue
+        assert evaluate(parsed, bindings) == value
+
+
+def test_serializing_roots23_builds_no_product(monkeypatch):
+    d = decompose(roots23_spec())
+    built = []
+
+    def counted(cls, *fields):
+        built.append(fields)
+        return Expr.__new__(cls, *fields)
+
+    monkeypatch.setattr(Product, "__new__", counted)
+    assert Product((a, b)) == a * b and len(built) == 2  # the count sees every Product
+    built.clear()
+    for mode in ("infix", "structured"):
+        serialize(d, OutputFormat(mode=mode))
+    assert built == []
 
 
 # --- streaming -----------------------------------------------------------------

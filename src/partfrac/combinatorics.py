@@ -8,7 +8,9 @@ multinomial coefficients, and enumeration of weak compositions.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from math import comb, factorial
+from operator import index, sub
 from typing import Iterator, Sequence
 
 __all__ = ["binomial", "multinomial", "compositions"]
@@ -47,18 +49,19 @@ def compositions(m: int, k: int) -> Iterator[tuple[int, ...]]:
 
     The stream has exactly binomial(m + k - 1, k - 1) elements.  Enumeration
     order is part of the contract: downstream output must be reproducible.
+    It is stars and bars: a nondecreasing (k-1)-tuple c of numbers in
+    [0, m] places bar i after c[i] of the m stars, and the parts are the
+    stars between consecutive bars, c[i] - c[i-1].  The tuples c come from
+    ``combinations_with_replacement`` in lexicographic order, so the
+    compositions do too.  Arguments are checked at call time.
     """
+    m, k = index(m), index(k)
     if m < 0:
         raise ValueError(f"compositions requires m >= 0, got m={m}")
     if k < 1:
         raise ValueError(f"compositions requires k >= 1, got k={k}")
-    return _compositions(m, k)
-
-
-def _compositions(m: int, k: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in _compositions(m - first, k - 1):
-            yield (first,) + rest
+    last = (m,)
+    return (
+        tuple(map(sub, c + last, (0,) + c))
+        for c in combinations_with_replacement(range(m + 1), k - 1)
+    )

@@ -272,7 +272,8 @@ def _pole_contributions(
 
     Per pole, the differences a_i - a_k, their powers (a_i - a_k)^-(m_k+j)
     and their signed binomials (-1)^j * C(m_k+j-1, j), j < m_i, are built
-    once, and each power a_i^e once, at its first use.  When a_i is a Symbol
+    once, and each power a_i^e once, at its first use.  A difference of two
+    Symbols is built as its canonical Sum directly.  When a_i is a Symbol
     and every difference is a Sum, a contribution is assembled as the
     canonical Product directly: the bases are pairwise distinct (the spec
     refuses equal roots), the Symbol sorts first, the differences keep
@@ -285,7 +286,12 @@ def _pole_contributions(
     for i in range(n):
         a_i, m_i = roots[i], mults[i]
         others = [k for k in range(n) if k != i]
-        diffs = [a_i + negated[k] for k in others]
+        symbol = isinstance(a_i, Symbol)
+        # a Symbol (kind 1) sorts before the Product -a_k (kind 3)
+        diffs = [
+            Sum((a_i, negated[k])) if symbol and isinstance(roots[k], Symbol) else a_i + negated[k]
+            for k in others
+        ]
         powers = [
             [diff ** -(mults[k] + j) for j in range(m_i)] for k, diff in zip(others, diffs)
         ]
@@ -293,7 +299,7 @@ def _pole_contributions(
             [(-1) ** j * binomial(mults[k] + j - 1, j) for j in range(m_i)] for k in others
         ]
         root_powers: dict[int, Expr] = {}  # e -> a_i^e
-        direct = isinstance(a_i, Symbol) and all(isinstance(d, Sum) for d in diffs)
+        direct = symbol and all(isinstance(d, Sum) for d in diffs)
         # each difference's powers, in base order, with its slot in a composition
         by_base = [(powers[p], 2 + p) for p in sorted(range(n - 1), key=diffs.__getitem__)]
         for comp in compositions(m_i - 1, n + 1):
@@ -327,17 +333,34 @@ def _quotient_contributions(spec: RationalFunctionSpec) -> Iterator[MonomialTerm
     more than h_j = sum_i Res_{a_i} x^(j+m-1) / Q, the order-1 pole formula
     with sum_i C(m_i+n-2, n-1) terms of n+1 factors each (root differences,
     about twice as costly as powers of roots), the residue form is used.
+
+    Each a_k^c and C(m_k + c - 1, c) is built once, in per-root tables that
+    grow with j.  When every root is a Symbol, a term is assembled as the
+    canonical Product directly: its factors are the non-unit powers, of
+    pairwise distinct bases, sorted, after the scale when that is not 1.
+    Other inputs go through product_of.
     """
-    l, m, mults = spec.numerator_degree, spec.denominator_degree, spec.multiplicities
-    n = len(mults)
+    l, m = spec.numerator_degree, spec.denominator_degree
+    roots, mults, n = spec.roots, spec.multiplicities, len(spec.factors)
     residue_cost = 2 * (n + 1) * sum(binomial(m_k + n - 2, n - 1) for m_k in mults)
+    direct = all(isinstance(a_k, Symbol) for a_k in roots)
+    powers = [[] for _ in roots]  # powers[k][c] = a_k^c
+    binomials = [[] for _ in mults]  # binomials[k][c] = C(m_k + c - 1, c)
     j = 0
     while j <= l - m and binomial(j + n - 1, n - 1) * (min(j, n) + 1) <= residue_cost:
+        for a_k, m_k, power, binom in zip(roots, mults, powers, binomials):
+            power.append(a_k**j)
+            binom.append(binomial(m_k + j - 1, j))
         for comp in compositions(j, n):
-            pairs = list(zip(spec.factors, comp))
-            scale = prod(binomial(m_k + c_k - 1, c_k) for (_, m_k), c_k in pairs)
-            parts = [Constant(scale), *(a_k**c_k for (a_k, _), c_k in pairs)]
-            yield MonomialTerm(l - m - j, product_of(parts))
+            scale = prod(map(operator.getitem, binomials, comp))
+            if direct:
+                factors = sorted([power[c] for power, c in zip(powers, comp) if c])
+                if scale != 1:
+                    factors.insert(0, Constant(scale))
+                t = Product(tuple(factors)) if len(factors) > 1 else factors[0] if factors else ONE
+            else:
+                t = product_of([Constant(scale), *map(operator.getitem, powers, comp)])
+            yield MonomialTerm(l - m - j, t)
         j += 1
     if j <= l - m:
         degrees = range(j + m - 1, l)
@@ -368,9 +391,21 @@ def decompose(spec: RationalFunctionSpec) -> Decomposition:
     """
     if spec.is_proper:
         return decompose_proper(spec)
-    l = spec.numerator_degree
-    poles = (PoleTerm(i, order, c) for _, i, order, c in _pole_contributions(spec, (l,)))
-    return collect(Decomposition(spec.roots, _quotient_contributions(spec), poles))
+    return _decompose_shared({spec.numerator_degree: spec})[spec.numerator_degree]
+
+
+def _decompose_shared(specs: dict[int, RationalFunctionSpec]) -> dict[int, Decomposition]:
+    """decompose(spec) for each of ``specs``, keyed by numerator degree, which
+    share their factors.  The pole formula is enumerated once over all their
+    degrees, so each composition's differences and signed binomials serve
+    every degree; each quotient is per spec."""
+    raw: dict[int, list[PoleTerm]] = {l: [] for l in sorted(specs)}
+    for l, i, order, c in _pole_contributions(next(iter(specs.values())), tuple(raw)):
+        raw[l].append(PoleTerm(i, order, c))
+    return {
+        l: collect(Decomposition(spec.roots, _quotient_contributions(spec), raw[l]))
+        for l, spec in specs.items()
+    }
 
 
 def decompose_batch(
@@ -378,19 +413,36 @@ def decompose_batch(
 ) -> Decomposition:
     """Decompose a weighted sum of inputs and merge the results.
 
-    Pole terms are merged by (root expression, order) across inputs, monomial
-    terms by degree.  Cancelled terms disappear entirely.  A weight that
-    involves the decomposition variable is refused with ValueError.
+    Inputs that share their ``factors`` share one enumeration of the pole
+    formula (see :func:`_decompose_shared`).  Pole terms are merged by (root
+    expression, order) across inputs, monomial terms by degree, and
+    structurally zero sums are dropped.  A sum that equals 0 in value may
+    stay, nonzero-looking: weights a + b and -a - b on one input leave one,
+    because a product of sums has more than one canonical form (see "One
+    canonical form per value of a product" in ROADMAP.md).  Every weight is checked before any work: one that is not an
+    Expr, int or Fraction is refused with TypeError, and one that involves
+    the decomposition variable with ValueError.
     """
-    index: dict[Expr, int] = {}  # root -> position, in order of first use
-    monomials: list[MonomialTerm] = []
-    poles: list[PoleTerm] = []
-    for idx, (weight, spec) in enumerate(terms, start=1):
+    terms = list(terms)
+    for idx, (weight, _) in enumerate(terms, start=1):
+        if not isinstance(weight, (Expr, int, Fraction)):
+            raise TypeError(
+                f"the weight of term {idx} must be an Expr, int or Fraction, "
+                f"got {type(weight).__name__}"
+            )
         if isinstance(weight, Expr) and VARIABLE in symbols_in(weight):
             raise ValueError(
                 f"the weight of term {idx} contains the decomposition variable '{VARIABLE}'"
             )
-        d = decompose(spec)
+    groups: dict[tuple, dict[int, RationalFunctionSpec]] = {}
+    for _, spec in terms:
+        groups.setdefault(spec.factors, {})[spec.numerator_degree] = spec
+    shared = {factors: _decompose_shared(specs) for factors, specs in groups.items()}
+    index: dict[Expr, int] = {}  # root -> position, in order of first use
+    monomials: list[MonomialTerm] = []
+    poles: list[PoleTerm] = []
+    for weight, spec in terms:
+        d = shared[spec.factors][spec.numerator_degree]
         for mono in d.monomials:
             monomials.append(MonomialTerm(mono.degree, weight * mono.coefficient))
         for pole in d.poles:

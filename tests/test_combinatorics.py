@@ -117,6 +117,24 @@ def test_compositions_argument_validation():
         compositions(-1, 2)
     with pytest.raises(ValueError):
         compositions(2, 0)
+    # checked at call time, not at the first next()
+    for m, k in [(2.0, 2), (2, 2.0), ("2", 2)]:
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            compositions(m, k)
+
+
+def _recursive_compositions(m, k):
+    """The first part in increasing order, then the compositions of the rest."""
+    if k == 1:
+        return [(m,)]
+    return [(first, *rest) for first in range(m + 1)
+            for rest in _recursive_compositions(m - first, k - 1)]
+
+
+def test_compositions_equal_a_recursive_reference():
+    for m in range(8):
+        for k in range(1, 8):
+            assert list(compositions(m, k)) == _recursive_compositions(m, k)
 
 
 def test_fraction_arithmetic_is_exact():

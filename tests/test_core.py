@@ -274,6 +274,24 @@ def _contributions_by_product_of(spec, degrees, residues_only):
                     yield l, i, j_pole + 1, product_of([scale, a_i ** (l - j_num), *parts])
 
 
+def _quotient_by_product_of(spec):
+    """The quotient's monomials, each expanded-form term built by product_of,
+    switching to the residue form where _quotient_contributions does."""
+    l, m, n = spec.numerator_degree, spec.denominator_degree, len(spec.factors)
+    residue_cost = 2 * (n + 1) * sum(binomial(m_k + n - 2, n - 1) for m_k in spec.multiplicities)
+    j = 0
+    while j <= l - m and binomial(j + n - 1, n - 1) * (min(j, n) + 1) <= residue_cost:
+        for comp in compositions(j, n):
+            scale, parts = 1, []
+            for (a_k, m_k), c_k in zip(spec.factors, comp):
+                scale *= binomial(m_k + c_k - 1, c_k)
+                parts.append(a_k**c_k)
+            yield MonomialTerm(l - m - j, product_of([scale, *parts]))
+        j += 1
+    for k, _, _, coefficient in _contributions_by_product_of(spec, range(j + m - 1, l), True):
+        yield MonomialTerm(l - 1 - k, coefficient)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 10), st.integers(1, 3)), min_size=1, max_size=5,
@@ -287,6 +305,9 @@ def test_pole_contributions_equal_their_product_of_form(factors, degrees, residu
     spec = spec_of(0, *((MIXED_ROOTS[r], m) for r, m in factors))
     got = list(core._pole_contributions(spec, degrees, residues_only))
     assert got == list(_contributions_by_product_of(spec, degrees, residues_only))
+    for l in degrees:
+        spec = spec_of(l, *spec.factors)
+        assert list(core._quotient_contributions(spec)) == list(_quotient_by_product_of(spec))
 
 
 def test_pole_orders_bounded_by_multiplicity():
@@ -530,6 +551,55 @@ def test_batch_refuses_a_weight_that_contains_x():
     assert decompose_batch([(xa, spec)]).poles[0].coefficient == xa * (a - b) ** -1
 
 
+def test_batch_checks_every_weight_before_any_work(monkeypatch):
+    spec = spec_of(0, (a, 1), (b, 1))
+    calls = []
+    real = core._pole_contributions
+    monkeypatch.setattr(core, "_pole_contributions", lambda *args: calls.append(1) or real(*args))
+    for weight in (1.5, "w", None, [a]):
+        with pytest.raises(TypeError, match="weight of term 3 must be an Expr, int or Fraction"):
+            decompose_batch([(ONE, spec), (2, spec), (weight, spec)])
+    with pytest.raises(ValueError, match="weight of term 2 contains"):
+        decompose_batch([(ONE, spec), (Symbol("x"), spec), (1.5, spec)])
+    assert calls == []
+    assert decompose_batch([(2, spec), (Fraction(1, 2), spec)]) == decompose_batch(
+        [(Constant(Fraction(5, 2)), spec)]
+    )
+
+
+def _batch_by_decompose(terms):
+    """decompose_batch's result, merged from one decompose per term."""
+    index, monomials, poles = {}, [], []
+    for weight, spec in terms:
+        d = decompose(spec)
+        monomials += [MonomialTerm(t.degree, weight * t.coefficient) for t in d.monomials]
+        for t in d.poles:
+            pos = index.setdefault(d.roots[t.pole_index], len(index))
+            poles.append(PoleTerm(pos, t.order, weight * t.coefficient))
+    return collect(Decomposition(tuple(index), monomials, poles))
+
+
+BATCH_WEIGHTS = (1, -2, Fraction(3, 4), Constant(Fraction(-1, 3)), a, a + b, b - 2 * c, a * b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 10), st.integers(1, 3)), min_size=1, max_size=3,
+                 unique_by=lambda pair: pair[0]),
+        min_size=1, max_size=3,
+    ),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 12), st.sampled_from(BATCH_WEIGHTS)),
+             min_size=1, max_size=8),
+)
+def test_grouped_batch_equals_per_spec_decompose(denominators, terms):
+    # denominators from MIXED_ROOTS, rational roots among them; the degrees
+    # repeat and make proper and improper members of a group
+    factors = [tuple((MIXED_ROOTS[r], m) for r, m in f) for f in denominators]
+    batch = [(w, RationalFunctionSpec(l, factors[d % len(factors)])) for d, l, w in terms]
+    assert decompose_batch(batch) == _batch_by_decompose(batch)
+
+
 def test_improper_rational_reconstruction():
     rng = random.Random(777)
     for _ in range(10):
@@ -642,6 +712,38 @@ def test_symbol_root_contributions_are_built_without_product_of(monkeypatch):
     assert len(contributions) == 1123
     # one call per root, to negate it once; none per difference or contribution
     assert len(calls) == 23
+
+
+def test_symbol_differences_are_built_without_make_sum(monkeypatch):
+    spec = roots23_spec()
+    calls = []
+    real = expr._make_sum
+    monkeypatch.setattr(expr, "_make_sum", lambda ts: calls.append(1) or real(ts))
+    assert len(list(core._pole_contributions(spec, (0,)))) == 1123
+    assert calls == []
+
+
+def test_symbol_root_quotient_terms_are_built_without_product_of(monkeypatch):
+    spec = spec_of(40, (a, 5), (b, 7), (c, 11))
+    calls = []
+    real = expr._make_product
+    monkeypatch.setattr(expr, "_make_product", lambda fs: calls.append(1) or real(fs))
+    # all 18 quotient coefficients take the expanded form: C(20, 3) terms
+    assert len(list(core._quotient_contributions(spec))) == binomial(20, 3) == 1140
+    assert calls == []
+
+
+def test_batch_enumerates_a_shared_denominator_once(monkeypatch):
+    # the proper_symbolic batch: w_l * x^l / ((x-a)^5 (x-b)^7 (x-c)^11), l = 0..22
+    factors = ((a, 5), (b, 7), (c, 11))
+    terms = [(Symbol(f"w{l}"), RationalFunctionSpec(l, factors)) for l in range(23)]
+    calls = []
+    real = core.compositions
+    monkeypatch.setattr(core, "compositions", lambda m, k: calls.append((m, k)) or real(m, k))
+    d = decompose_batch(terms)
+    assert calls == [(4, 4), (6, 4), (10, 4)]  # one enumeration per pole
+    monkeypatch.setattr(core, "compositions", real)
+    assert d == _batch_by_decompose(terms)
 
 
 def test_signed_binomials_and_root_powers_are_built_once_per_pole(monkeypatch):

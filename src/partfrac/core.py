@@ -6,8 +6,10 @@ the decomposition variable.  One closed formula covers every input: the
 pole terms come from the residue formula with its derivatives expanded into
 a sum over weak compositions weighted by binomial coefficients, and the
 quotient of an improper input is another such sum.  No symbolic
-differentiation or polynomial division is ever performed.  Both sums
-produce raw terms and hand them to :func:`collect`, the package's one merge.
+differentiation or polynomial division is ever performed.  The pole sum
+is summed per (pole, order) key where it is enumerated, once per shared
+denominator; the quotient's raw terms, and the weighted terms of a batch,
+are merged by :func:`collect`.
 
 Roots are validated by evaluation mod a prime, never by expansion (see
 :class:`RationalFunctionSpec`).  A spec that is accepted has pairwise
@@ -27,6 +29,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import prod
 from typing import Iterable, Iterator, Sequence
@@ -83,7 +86,11 @@ class DuplicateRootError(ValueError):
 def _seed_text(node) -> str:
     """A deterministic text of a tree of tuples, ints, Fractions and names.
     Ints are written in hex, so no integer is ever converted to decimal,
-    which Python refuses past ``sys.get_int_max_str_digits()`` digits."""
+    which Python refuses past ``sys.get_int_max_str_digits()`` digits.  A
+    node is written as its kind and the arguments that rebuild it, so a
+    Power shows its exponent, not the value the node stores."""
+    if isinstance(node, Expr):
+        node = (node[0], *node.__getnewargs__())
     if isinstance(node, tuple):
         return f"({','.join(map(_seed_text, node))})"
     if isinstance(node, int):
@@ -241,6 +248,14 @@ class Decomposition:
             object.__setattr__(self, field, tuple(getattr(self, field)))
 
 
+def _require_proper(spec: RationalFunctionSpec) -> None:
+    if not spec.is_proper:
+        raise ValueError(
+            f"proper decomposition requires numerator degree < denominator degree, "
+            f"got {spec.numerator_degree} >= {spec.denominator_degree}"
+        )
+
+
 def proper_contributions(spec: RationalFunctionSpec) -> Iterator[tuple[int, int, Expr]]:
     """Yield the raw (pole_index, order, coefficient) contributions of the
     closed formula for a proper input, one per surviving composition.
@@ -255,61 +270,100 @@ def proper_contributions(spec: RationalFunctionSpec) -> Iterator[tuple[int, int,
     on the pole of order j_pole + 1 at a_i.  Compositions with j_num > l are
     pruned: their binomial factor is zero.
     """
-    if not spec.is_proper:
-        raise ValueError(
-            f"proper decomposition requires numerator degree < denominator degree, "
-            f"got {spec.numerator_degree} >= {spec.denominator_degree}"
-        )
-    return ((i, o, c) for _, i, o, c in _pole_contributions(spec, (spec.numerator_degree,)))
+    _require_proper(spec)
+    return (
+        (i, order, c)
+        for _, i, order, terms, _ in _pole_contributions(spec, (spec.numerator_degree,))
+        for c in terms
+    )
+
+
+def _difference(a_i: Symbol, a_k: Expr, negated_k: Expr) -> Expr:
+    """a_i - a_k for a Symbol a_i, given negated_k = -a_k.  Less a Symbol or
+    a nonzero Constant it is the two-term Sum, built directly with its terms
+    in canonical order: a Constant (kind 0), then a_i (kind 1), then the
+    Product -a_k (kind 3).  a_i - 0 is a_i.  Other roots go through
+    ``__add__``."""
+    if isinstance(a_k, Symbol):
+        return Sum((a_i, negated_k))
+    if isinstance(a_k, Constant):
+        return Sum((negated_k, a_i)) if a_k.value else a_i
+    return a_i + negated_k
 
 
 def _pole_contributions(
     spec: RationalFunctionSpec, degrees: Sequence[int], residues_only: bool = False
-) -> Iterator[tuple[int, int, int, Expr]]:
-    """Yield (l, pole_index, order, coefficient), the contributions of
-    :func:`proper_contributions` to x^l / Q for each l in ``degrees``; with
-    ``residues_only``, only those of order 1 (the residues).
+) -> Iterator[tuple[int, int, int, list[Expr], bool]]:
+    """Yield (l, pole_index, order, terms, direct): the contributions of
+    :func:`proper_contributions` to x^l / Q for each of the distinct
+    ``degrees``, one group per key, each group's terms in composition order;
+    with ``residues_only``, only those of order 1 (the residues).  ``direct``
+    says that the pole's root is a Symbol and every difference a Sum; no two
+    of its contributions then share a rest (see :func:`_key_sum`).
 
-    Per pole, the differences a_i - a_k, their powers (a_i - a_k)^-(m_k+j)
-    and their signed binomials (-1)^j * C(m_k+j-1, j), j < m_i, are built
-    once, and each power a_i^e once, at its first use.  A difference of two
-    Symbols is built as its canonical Sum directly.  When a_i is a Symbol
-    and every difference is a Sum, a contribution is assembled as the
-    canonical Product directly: the bases are pairwise distinct (the spec
-    refuses equal roots), the Symbol sorts first, the differences keep
-    their own sorted order, and no power is a bare Sum to distribute over.
-    Other inputs go through product_of.
+    Per pole, the differences a_i - a_k and their powers (a_i - a_k)^-(m_k+j),
+    j < m_i, are built once, and each power a_i^e once, at its first use.
+    The signed binomials (-1)^j * C(m_k+j-1, j) are built once per distinct
+    (m_k, m_i), the binomials C(l, j), j < m_i, once per pole and degree,
+    and a scale's Constant once.  A Symbol less a Symbol or a Constant is
+    built as its canonical form directly (see :func:`_difference`), and the
+    powers of a Sum as Power nodes.  For a direct pole, a contribution is
+    assembled as the canonical Product directly: the bases are pairwise
+    distinct (the spec refuses equal roots), the Symbol sorts first, the
+    differences keep their own sorted order, and no power is a bare Sum to
+    distribute over.  When every root is a Symbol, a_i - a_k =
+    a_i + (-1)*a_k sorts as a_k does, so that order comes from one sort of
+    the roots.  Other inputs go through product_of.
     """
     roots, mults, n = spec.roots, spec.multiplicities, len(spec.factors)
     top = max(degrees)  # degrees may be a long range
     negated = [-a_k for a_k in roots]
+    by_root = None
+    if all(isinstance(a_k, Symbol) for a_k in roots):
+        by_root = sorted(range(n), key=roots.__getitem__)
+
+    @cache
+    def signed(m_k: int, m_i: int) -> list[int]:
+        return [(-1) ** j * binomial(m_k + j - 1, j) for j in range(m_i)]
+
+    heads: dict[int, tuple] = {}  # scale -> the head of a direct Product
+
     for i in range(n):
         a_i, m_i = roots[i], mults[i]
         others = [k for k in range(n) if k != i]
         symbol = isinstance(a_i, Symbol)
-        # a Symbol (kind 1) sorts before the Product -a_k (kind 3)
         diffs = [
-            Sum((a_i, negated[k])) if symbol and isinstance(roots[k], Symbol) else a_i + negated[k]
+            _difference(a_i, roots[k], negated[k]) if symbol else a_i + negated[k]
             for k in others
         ]
         powers = [
-            [diff ** -(mults[k] + j) for j in range(m_i)] for k, diff in zip(others, diffs)
+            [Power(diff, -(mults[k] + j)) if isinstance(diff, Sum) else diff ** -(mults[k] + j)
+             for j in range(m_i)]
+            for k, diff in zip(others, diffs)
         ]
-        signed = [
-            [(-1) ** j * binomial(mults[k] + j - 1, j) for j in range(m_i)] for k in others
-        ]
+        tables = [signed(mults[k], m_i) for k in others]
         root_powers: dict[int, Expr] = {}  # e -> a_i^e
         direct = symbol and all(isinstance(d, Sum) for d in diffs)
         # each difference's powers, in base order, with its slot in a composition
-        by_base = [(powers[p], 2 + p) for p in sorted(range(n - 1), key=diffs.__getitem__)]
+        if by_root is None:
+            order = sorted(range(n - 1), key=diffs.__getitem__)
+        else:
+            order = [k - (k > i) for k in by_root if k != i]
+        by_base = [(powers[p], 2 + p) for p in order]
+        orders = 1 if residues_only else m_i
+        # per degree l: C(l, j_num) for each j_num < m_i, and the groups by order
+        groups = [
+            (l, [binomial(l, j) for j in range(m_i)], [[] for _ in range(orders)])
+            for l in degrees
+        ]
         for comp in compositions(m_i - 1, n + 1):
             j_num, j_pole = comp[0], comp[1]
-            if j_num > top or (residues_only and j_pole):
+            if j_num > top or j_pole >= orders:
                 continue
-            rest = prod(map(operator.getitem, signed, comp[2:]))
+            rest = prod(map(operator.getitem, tables, comp[2:]))
             parts = tuple([power[comp[slot]] for power, slot in by_base])
-            for l in degrees:
-                scale = binomial(l, j_num) * rest
+            for l, choose, by_order in groups:
+                scale = choose[j_num] * rest
                 if not scale:
                     continue
                 e = l - j_num
@@ -317,12 +371,28 @@ def _pole_contributions(
                 if root_power is None:
                     root_power = root_powers[e] = a_i**e
                 if direct:
-                    head = (Constant(scale),) if scale != 1 else ()
+                    head = heads.get(scale)
+                    if head is None:
+                        head = heads[scale] = (Constant(scale),) if scale != 1 else ()
                     factors = head + ((root_power,) if e else ()) + parts
                     c = Product(factors) if len(factors) > 1 else factors[0] if factors else ONE
                 else:
                     c = product_of([root_power, *parts, Constant(scale)])
-                yield l, i, j_pole + 1, c
+                by_order[j_pole].append(c)
+        for l, _, by_order in groups:
+            for j_pole, terms in enumerate(by_order):
+                if terms:
+                    yield l, i, j_pole + 1, terms, direct
+
+
+def _key_sum(terms: list[Expr], direct: bool) -> Expr:
+    """The canonical sum of one key's canonical contributions, as yielded by
+    :func:`_pole_contributions`.  A direct pole's contributions are
+    non-Sum, nonzero and of pairwise distinct rests, so nothing merges and
+    their sum is the Sum of them sorted; other poles' go through _make_sum."""
+    if len(terms) == 1:
+        return terms[0]
+    return Sum(tuple(sorted(terms))) if direct else _make_sum(terms)
 
 
 def _quotient_contributions(spec: RationalFunctionSpec) -> Iterator[MonomialTerm]:
@@ -364,14 +434,15 @@ def _quotient_contributions(spec: RationalFunctionSpec) -> Iterator[MonomialTerm
         j += 1
     if j <= l - m:
         degrees = range(j + m - 1, l)
-        for k, _, _, c in _pole_contributions(spec, degrees, residues_only=True):
-            yield MonomialTerm(l - 1 - k, c)
+        for k, _, _, terms, _ in _pole_contributions(spec, degrees, residues_only=True):
+            for c in terms:
+                yield MonomialTerm(l - 1 - k, c)
 
 
 def decompose_proper(spec: RationalFunctionSpec) -> Decomposition:
     """Decompose a proper input; all output terms are poles."""
-    poles = [PoleTerm(i, order, c) for i, order, c in proper_contributions(spec)]
-    return collect(Decomposition(roots=spec.roots, monomials=(), poles=poles))
+    _require_proper(spec)
+    return decompose(spec)
 
 
 def poly_div(coefficient: Expr, p: int, q: int, root: Expr) -> Decomposition:
@@ -385,27 +456,35 @@ def poly_div(coefficient: Expr, p: int, q: int, root: Expr) -> Decomposition:
 
 
 def decompose(spec: RationalFunctionSpec) -> Decomposition:
-    """Full decomposition.  Proper inputs go to :func:`decompose_proper`.  An
-    improper input takes its pole terms from the same closed formula at its
-    own numerator degree, and its quotient from weak-composition sums too.
+    """Full decomposition.  The pole terms come from the closed formula at
+    the input's own numerator degree, and an improper input's quotient from
+    weak-composition sums too (see :func:`_decompose_shared`).
     """
-    if spec.is_proper:
-        return decompose_proper(spec)
-    return _decompose_shared({spec.numerator_degree: spec})[spec.numerator_degree]
+    return _decompose_shared([spec])[spec]
 
 
-def _decompose_shared(specs: dict[int, RationalFunctionSpec]) -> dict[int, Decomposition]:
-    """decompose(spec) for each of ``specs``, keyed by numerator degree, which
-    share their factors.  The pole formula is enumerated once over all their
-    degrees, so each composition's differences and signed binomials serve
-    every degree; each quotient is per spec."""
-    raw: dict[int, list[PoleTerm]] = {l: [] for l in sorted(specs)}
-    for l, i, order, c in _pole_contributions(next(iter(specs.values())), tuple(raw)):
-        raw[l].append(PoleTerm(i, order, c))
-    return {
-        l: collect(Decomposition(spec.roots, _quotient_contributions(spec), raw[l]))
-        for l, spec in specs.items()
-    }
+def _decompose_shared(
+    specs: Sequence[RationalFunctionSpec],
+) -> dict[RationalFunctionSpec, Decomposition]:
+    """decompose(spec) for each of ``specs``, which share one denominator,
+    its factors in any order.  The pole formula is enumerated once, in the
+    first spec's factor order, over all their distinct degrees, so each
+    composition's differences and signed binomials serve every degree, and
+    each (l, pole, order) key is summed once where it is enumerated.  Each
+    spec takes those sums on its own poles, in its own factor order, and
+    has its own quotient."""
+    first = specs[0]
+    sums: dict[int, list] = {l: [] for l in sorted({spec.numerator_degree for spec in specs})}
+    for l, i, order, terms, direct in _pole_contributions(first, tuple(sums)):
+        sums[l].append((i, order, _key_sum(terms, direct)))
+    out: dict[RationalFunctionSpec, Decomposition] = {}
+    for spec in specs:
+        if spec not in out:
+            position = {root: k for k, root in enumerate(spec.roots)}
+            index = [position[root] for root in first.roots]
+            poles = [PoleTerm(index[i], order, c) for i, order, c in sums[spec.numerator_degree]]
+            out[spec] = collect(Decomposition(spec.roots, _quotient_contributions(spec), poles))
+    return out
 
 
 def decompose_batch(
@@ -413,15 +492,16 @@ def decompose_batch(
 ) -> Decomposition:
     """Decompose a weighted sum of inputs and merge the results.
 
-    Inputs that share their ``factors`` share one enumeration of the pole
-    formula (see :func:`_decompose_shared`).  Pole terms are merged by (root
-    expression, order) across inputs, monomial terms by degree, and
-    structurally zero sums are dropped.  A sum that equals 0 in value may
-    stay, nonzero-looking: weights a + b and -a - b on one input leave one,
-    because a product of sums has more than one canonical form (see "One
-    canonical form per value of a product" in ROADMAP.md).  Every weight is checked before any work: one that is not an
-    Expr, int or Fraction is refused with TypeError, and one that involves
-    the decomposition variable with ValueError.
+    Inputs that share a denominator, whatever their factor order, share one
+    enumeration of the pole formula (see :func:`_decompose_shared`).  Pole
+    terms are merged by (root expression, order) across inputs, monomial
+    terms by degree, and structurally zero sums are dropped.  A sum that
+    equals 0 in value may stay, nonzero-looking: weights a + b and -a - b
+    on one input leave one, because a product of sums has more than one
+    canonical form (see "One canonical form per value of a product" in
+    ROADMAP.md).  Every weight is checked before any work: one that is not
+    an Expr, int or Fraction is refused with TypeError, and one that
+    involves the decomposition variable with ValueError.
     """
     terms = list(terms)
     for idx, (weight, _) in enumerate(terms, start=1):
@@ -434,15 +514,17 @@ def decompose_batch(
             raise ValueError(
                 f"the weight of term {idx} contains the decomposition variable '{VARIABLE}'"
             )
-    groups: dict[tuple, dict[int, RationalFunctionSpec]] = {}
+    groups: dict[tuple, list[RationalFunctionSpec]] = {}  # sorted factors -> members
     for _, spec in terms:
-        groups.setdefault(spec.factors, {})[spec.numerator_degree] = spec
-    shared = {factors: _decompose_shared(specs) for factors, specs in groups.items()}
+        groups.setdefault(tuple(sorted(spec.factors)), []).append(spec)
+    shared: dict[RationalFunctionSpec, Decomposition] = {}
+    for specs in groups.values():
+        shared.update(_decompose_shared(specs))
     index: dict[Expr, int] = {}  # root -> position, in order of first use
     monomials: list[MonomialTerm] = []
     poles: list[PoleTerm] = []
     for weight, spec in terms:
-        d = shared[spec.factors][spec.numerator_degree]
+        d = shared[spec]
         for mono in d.monomials:
             monomials.append(MonomialTerm(mono.degree, weight * mono.coefficient))
         for pole in d.poles:
@@ -453,15 +535,19 @@ def decompose_batch(
 
 def collect(d: Decomposition) -> Decomposition:
     """Merge terms sharing a degree or a (pole, order) pair: coefficients are
-    summed into canonical form, exact zeros dropped and keys sorted.
-    Idempotent.  Every merge in the package goes through here.
+    summed into canonical form, exact zeros dropped and keys sorted.  A key
+    with one coefficient keeps it as it is, since it is canonical already.
+    Idempotent.  Every merge goes through here, except the sum of each
+    (pole, order) key of the closed formula, which :func:`_decompose_shared`
+    takes where the key is enumerated.
     """
     def merged(terms, key):
         acc: dict = {}
         for term in terms:
             acc.setdefault(key(term), []).append(term.coefficient)
         for k in sorted(acc):
-            total = _make_sum(acc[k])  # coefficients are canonical already
+            coefficients = acc[k]
+            total = coefficients[0] if len(coefficients) == 1 else _make_sum(coefficients)
             if total != ZERO:
                 yield k, total
 

@@ -11,6 +11,8 @@ canonical form:
 * Children are stored sorted in tuple order.  A node is the tuple
   ``(kind, *fields)`` with kinds Constant 0 < Symbol 1 < Power 2 <
   Product 3 < Sum 4, so ``<`` compares kinds, then fields, recursively.
+  A Power stores its exponent less one, so that b^-1 and b^-2 hash apart;
+  the shift keeps the order.
 
 A Constant's ``value`` is an ``int`` when it is integral and a ``Fraction``
 otherwise, so equal values are stored alike, and ``==``, ``hash`` and ``<``
@@ -88,7 +90,8 @@ class Expr(tuple):
     def __init_subclass__(cls, kind: int):
         cls._kind = kind
         for i, name in enumerate(cls.__annotations__, start=1):
-            setattr(cls, name, property(itemgetter(i)))
+            if name not in vars(cls):
+                setattr(cls, name, property(itemgetter(i)))
 
     def __new__(cls, *fields):
         return tuple.__new__(cls, (cls._kind, *fields))
@@ -97,7 +100,7 @@ class Expr(tuple):
         return self[1:]
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(map(repr, self[1:]))})"
+        return f"{type(self).__name__}({', '.join(map(repr, self.__getnewargs__()))})"
 
     def __add__(self, other: "Expr | Numeric") -> "Expr":
         other = _coerce(other)
@@ -181,9 +184,25 @@ class Symbol(Expr, kind=1):
 
 
 class Power(Expr, kind=2):
+    """base**exponent.  The node stores ``exponent - 1``: CPython hashes -1
+    and -2 alike, so storing the exponent itself would hash b^-1 and b^-2,
+    and every tree that swaps them, alike.  A canonical exponent is never 0
+    or 1, so no stored value is -1.  The shift keeps the order of
+    exponents, so ``==`` and ``<`` are as if the exponent were stored."""
+
     __slots__ = ()
     base: Expr
     exponent: int
+
+    def __new__(cls, base: Expr, exponent: int):
+        return tuple.__new__(cls, (2, base, exponent - 1))
+
+    @property
+    def exponent(self) -> int:
+        return self[2] + 1
+
+    def __getnewargs__(self):
+        return self[1], self[2] + 1
 
 
 class Product(Expr, kind=3):

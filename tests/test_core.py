@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from partfrac import (
     ONE,
+    ZERO,
     Constant,
     Decomposition,
     DuplicateRootError,
@@ -292,22 +294,70 @@ def _quotient_by_product_of(spec):
         yield MonomialTerm(l - 1 - k, coefficient)
 
 
+def _by_key(contributions):
+    """Raw (l, pole_index, order, coefficient) contributions grouped by
+    key, each group in the order given."""
+    groups = {}
+    for l, i, order, c in contributions:
+        groups.setdefault((l, i, order), []).append(c)
+    return groups
+
+
+def _by_degree(monomials):
+    """Raw monomials grouped by degree, each group in the order given."""
+    groups = {}
+    for t in monomials:
+        groups.setdefault(t.degree, []).append(t.coefficient)
+    return groups
+
+
+def _count(groups):
+    """The number of contributions in _pole_contributions' groups."""
+    return sum(len(terms) for _, _, _, terms, _ in groups)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 10), st.integers(1, 3)), min_size=1, max_size=5,
              unique_by=lambda pair: pair[0]),
-    st.lists(st.integers(0, 20), min_size=1, max_size=3),
+    st.lists(st.integers(0, 20), min_size=1, max_size=3, unique=True),
     st.booleans(),
 )
 def test_pole_contributions_equal_their_product_of_form(factors, degrees, residues_only):
     # symbols, sums, differences, scaled symbols, rationals and zero, alone
-    # or mixed; the degrees make proper and improper numerators
+    # or mixed; the distinct degrees make proper and improper numerators
     spec = spec_of(0, *((MIXED_ROOTS[r], m) for r, m in factors))
     got = list(core._pole_contributions(spec, degrees, residues_only))
-    assert got == list(_contributions_by_product_of(spec, degrees, residues_only))
+    groups = {(l, i, order): terms for l, i, order, terms, _ in got}
+    assert len(groups) == len(got)  # one group per key
+    assert groups == _by_key(_contributions_by_product_of(spec, degrees, residues_only))
+    for _, i, _, _, direct in got:
+        a_i = spec.roots[i]
+        diffs = [a_i - a_k for a_k in spec.roots if a_k != a_i]
+        assert direct == (isinstance(a_i, Symbol) and all(isinstance(d, Sum) for d in diffs))
     for l in degrees:
         spec = spec_of(l, *spec.factors)
-        assert list(core._quotient_contributions(spec)) == list(_quotient_by_product_of(spec))
+        assert _by_degree(core._quotient_contributions(spec)) == _by_degree(
+            _quotient_by_product_of(spec)
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 10), st.integers(1, 3)), min_size=1, max_size=4,
+             unique_by=lambda pair: pair[0]),
+    st.integers(0, 16),
+)
+def test_each_pole_coefficient_is_the_make_sum_of_its_contributions(factors, l):
+    # every key is summed where it is enumerated: a direct pole's terms by
+    # one sort, the others' by _make_sum; both must be the general merge
+    spec = spec_of(l, *((MIXED_ROOTS[r], m) for r, m in factors))
+    want = {}
+    for (_, i, order), terms in _by_key(_contributions_by_product_of(spec, [l], False)).items():
+        total = expr._make_sum(terms)
+        if total != ZERO:
+            want[i, order] = total
+    assert {(t.pole_index, t.order): t.coefficient for t in decompose(spec).poles} == want
 
 
 def test_pole_orders_bounded_by_multiplicity():
@@ -589,14 +639,19 @@ BATCH_WEIGHTS = (1, -2, Fraction(3, 4), Constant(Fraction(-1, 3)), a, a + b, b -
                  unique_by=lambda pair: pair[0]),
         min_size=1, max_size=3,
     ),
-    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 12), st.sampled_from(BATCH_WEIGHTS)),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 12), st.sampled_from(BATCH_WEIGHTS),
+                       st.integers(0, 5)),
              min_size=1, max_size=8),
 )
 def test_grouped_batch_equals_per_spec_decompose(denominators, terms):
-    # denominators from MIXED_ROOTS, rational roots among them; the degrees
-    # repeat and make proper and improper members of a group
-    factors = [tuple((MIXED_ROOTS[r], m) for r, m in f) for f in denominators]
-    batch = [(w, RationalFunctionSpec(l, factors[d % len(factors)])) for d, l, w in terms]
+    # denominators from MIXED_ROOTS, rational roots among them, each member
+    # with its factors in one of their orders; the degrees repeat and make
+    # proper and improper members of a group
+    orders = [list(permutations((MIXED_ROOTS[r], m) for r, m in f)) for f in denominators]
+    batch = []
+    for d, l, w, p in terms:
+        factors = orders[d % len(orders)]
+        batch.append((w, RationalFunctionSpec(l, factors[p % len(factors)])))
     assert decompose_batch(batch) == _batch_by_decompose(batch)
 
 
@@ -708,8 +763,7 @@ def test_symbol_root_contributions_are_built_without_product_of(monkeypatch):
     calls = []
     real = expr._make_product
     monkeypatch.setattr(expr, "_make_product", lambda fs: calls.append(1) or real(fs))
-    contributions = list(core._pole_contributions(spec, (0,)))
-    assert len(contributions) == 1123
+    assert _count(core._pole_contributions(spec, (0,))) == 1123
     # one call per root, to negate it once; none per difference or contribution
     assert len(calls) == 23
 
@@ -719,8 +773,16 @@ def test_symbol_differences_are_built_without_make_sum(monkeypatch):
     calls = []
     real = expr._make_sum
     monkeypatch.setattr(expr, "_make_sum", lambda ts: calls.append(1) or real(ts))
-    assert len(list(core._pole_contributions(spec, (0,)))) == 1123
+    assert _count(core._pole_contributions(spec, (0,))) == 1123
     assert calls == []
+    # Symbol and rational roots: a Symbol less a rational is built directly
+    # too, and a Symbol less 0 is the Symbol; only the differences at the
+    # three rational poles, 5 each, go through _make_sum
+    mixed = spec_of(2, (a, 2), (Constant(3), 1), (b, 1), (Constant(0), 2),
+                    (Constant(Fraction(-1, 2)), 1), (c, 1))
+    count = _count(core._pole_contributions(mixed, (2,)))
+    assert len(calls) == 3 * 5
+    assert count == sum(1 for _ in _contributions_by_product_of(mixed, (2,), False))
 
 
 def test_symbol_root_quotient_terms_are_built_without_product_of(monkeypatch):
@@ -742,8 +804,18 @@ def test_batch_enumerates_a_shared_denominator_once(monkeypatch):
     monkeypatch.setattr(core, "compositions", lambda m, k: calls.append((m, k)) or real(m, k))
     d = decompose_batch(terms)
     assert calls == [(4, 4), (6, 4), (10, 4)]  # one enumeration per pole
+    # five members in each of two factor orders, with equal degrees across
+    # the orders: still one enumeration per pole
+    mixed = terms[:5] + [(Symbol(f"v{l}"), RationalFunctionSpec(l, factors[::-1]))
+                         for l in range(5)]
+    calls.clear()
+    d_mixed = decompose_batch(mixed)
+    assert calls == [(4, 4), (6, 4), (10, 4)]
     monkeypatch.setattr(core, "compositions", real)
     assert d == _batch_by_decompose(terms)
+    assert d_mixed == _batch_by_decompose(mixed)
+    # each member keeps its poles in its own factor order
+    assert decompose_batch(mixed[5:]).roots == (c, b, a)
 
 
 def test_signed_binomials_and_root_powers_are_built_once_per_pole(monkeypatch):
@@ -754,12 +826,13 @@ def test_signed_binomials_and_root_powers_are_built_once_per_pole(monkeypatch):
         core, "binomial", lambda *args: binomials.append(args) or real_binomial(*args)
     )
     monkeypatch.setattr(expr, "_make_power", lambda *args: powers.append(args) or real_power(*args))
-    assert len(list(core._pole_contributions(spec, (0,)))) == 1123
-    # per pole, 22 differences times m_i signed binomials and powers; then
-    # one C(l, j_num) per contribution and one power a_i^0 per pole
-    table = 22 * sum(spec.multiplicities)
-    assert len(binomials) == table + 1123
-    assert len(powers) == table + 23
+    assert _count(core._pole_contributions(spec, (0,))) == 1123
+    # one table of m_i signed binomials per distinct (m_k, m_i) among
+    # multiplicities 1 and 3, 1 + 1 + 3 + 3, and m_i binomials C(l, j) per
+    # pole.  The powers of the differences are Power nodes built directly,
+    # so _make_power builds only one a_i^0 per pole
+    assert len(binomials) == 8 + sum(spec.multiplicities) == 8 + 31
+    assert len(powers) == 23
 
 
 def test_serialize_renders_each_distinct_power_once(monkeypatch):
@@ -779,7 +852,10 @@ def test_serialize_renders_each_distinct_power_once(monkeypatch):
 
 def test_collect_keeps_every_unmerged_contribution_as_it_is(monkeypatch):
     spec = roots23_spec()
-    poles = [PoleTerm(i, order, c) for _, i, order, c in core._pole_contributions(spec, (0,))]
+    poles = [
+        PoleTerm(i, order, c)
+        for _, i, order, terms, _ in core._pole_contributions(spec, (0,)) for c in terms
+    ]
     calls = []
     real = expr._scale
     monkeypatch.setattr(expr, "_scale", lambda t, k: calls.append(1) or real(t, k))
@@ -793,3 +869,31 @@ def test_collect_keeps_every_unmerged_contribution_as_it_is(monkeypatch):
     ]
     assert len(summands) == len(poles) == 1123
     assert {id(t) for t in summands} == {id(p.coefficient) for p in poles}
+
+
+def test_roots23_is_decomposed_without_make_sum(monkeypatch):
+    spec = roots23_spec()
+    calls = []
+    real = expr._make_sum
+    monkeypatch.setattr(expr, "_make_sum", lambda ts: calls.append(1) or real(ts))
+    monkeypatch.setattr(core, "_make_sum", lambda ts: calls.append(1) or real(ts))
+    d = decompose(spec)
+    # every pole is direct: each key is summed by one sort, and collect
+    # keeps each key's one coefficient as it is
+    assert calls == []
+    assert len(d.poles) == 19 + 4 * 3
+
+
+def test_contribution_rests_hash_apart():
+    # the rests that a merge would bucket by, keyed as _make_sum keys them;
+    # with b^-1 and b^-2 hashing alike they shared 135 hashes
+    rests = []
+    for _, _, _, terms, _ in core._pole_contributions(roots23_spec(), (0,)):
+        for t in terms:
+            key = t
+            if isinstance(t, Product):
+                key = t.factors
+                if isinstance(key[0], Constant):
+                    key = key[1:] if len(key) > 2 else key[1]
+            rests.append(key)
+    assert len(rests) == len({hash(r) for r in rests}) == 1123

@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -451,6 +453,20 @@ def test_nodes_are_tuples_without_instance_dicts():
         assert not hasattr(e, "__dict__")
         assert eval(repr(e)) == e
     assert repr(a**-2) == "Power(Symbol('a'), -2)"
+
+
+def test_powers_to_minus_one_and_minus_two_hash_apart():
+    # CPython hashes -1 and -2 alike; a Power stores its exponent less one
+    assert hash(-1) == hash(-2)
+    assert hash(a**-1) != hash(a**-2)
+    assert hash((a - b) ** -1 * c**-2) != hash((a - b) ** -2 * c**-1)
+    powers = [a**k for k in (-3, -2, -1, 2, 3)]
+    assert sorted(reversed(powers)) == powers  # ordered as their exponents
+    for e, k in zip(powers, (-3, -2, -1, 2, 3)):
+        assert e.exponent == k and e == Power(a, k)
+        assert copy.copy(e) == copy.deepcopy(e) == pickle.loads(pickle.dumps(e)) == e
+    # raw nodes keep any exponent, and canonicalize reads it back
+    assert canonicalize(Power(a, 1)) == a and canonicalize(Power(a, 0)) == ONE
 
 
 # --- constant representation -----------------------------------------------------

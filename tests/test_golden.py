@@ -14,8 +14,15 @@ import random
 
 import pytest
 
-from helpers import random_mixed_spec, random_rational_spec, random_symbolic_spec
-from partfrac import OutputFormat, Symbol, decompose, decompose_batch, serialize
+from helpers import random_mixed_spec, random_rational_spec, random_symbolic_spec, roots23_spec
+from partfrac import (
+    OutputFormat,
+    RationalFunctionSpec,
+    Symbol,
+    decompose,
+    decompose_batch,
+    serialize,
+)
 
 FORMATS = [
     OutputFormat(mode=mode, expand_coefficients=expand)
@@ -44,6 +51,16 @@ def _batches(seed, count):
     return batches
 
 
+def _bench_scale():
+    """The proper_symbolic bench shapes with fixed names: 23 roots (19 simple,
+    4 triple), 40 simple roots, and the batch of w_l * x^l / ((x-a)^5 (x-b)^7
+    (x-c)^11) for l = 0..22."""
+    simple40 = RationalFunctionSpec(0, tuple((Symbol(f"a{i + 1}"), 1) for i in range(40)))
+    factors = tuple(zip(map(Symbol, "abc"), (5, 7, 11)))
+    batch = [(Symbol(f"w{l}"), RationalFunctionSpec(l, factors)) for l in range(23)]
+    return [decompose(roots23_spec()), decompose(simple40), decompose_batch(batch)]
+
+
 CLASSES = {
     "rational_proper": lambda: map(
         decompose, _specs(random_rational_spec, 101, 60, numerator="proper")
@@ -59,6 +76,7 @@ CLASSES = {
     ),
     "batch": lambda: _batches(105, 20),
     "mixed": lambda: map(decompose, _specs(random_mixed_spec, 106, 40)),
+    "bench_scale": _bench_scale,
 }
 
 GOLDEN = {
@@ -68,6 +86,7 @@ GOLDEN = {
     "symbolic_improper": "7d92b53a6279c90fe72dc8acd9c225d166b7b4c75ddc1b9e319313cafbbbd39c",
     "batch": "325fd9668a56e8a93836efe4afbf4e155225ebba17b4f887d1d6565219be4e94",
     "mixed": "c8cb157430c67abc9272d0a9c650758fd4474c87ababb2a8b2aba4783304ee45",
+    "bench_scale": "2b15ece86bccd3da58d8b52d0c64d2541e45b3c4f2607c4f27201ff9aed7748c",
 }
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
+import re
 import shutil
 import sys
 from types import SimpleNamespace
@@ -14,11 +15,12 @@ from .core import RationalFunctionSpec, decompose
 from .expr import Constant
 from .oracle import check_by_substitution, compare_with_oracle
 from .output import OutputFormat, StreamBuffer, term_chunks, write_streaming
-from .parser import parse_root_list
+from .parser import _max_digits, parse_root_list
 
 __all__ = ["run", "main"]
 
 _VERIFY_SEED = 271828  # fixed so failures reproduce
+_INTEGER = re.compile(r"[+-]?([0-9]+)")
 
 _HELP = """\
 usage: partfrac [options] EXPONENTS ROOTS
@@ -112,13 +114,19 @@ def _parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
 
 
 def _parse_exponents(src: str) -> tuple[int, list[int]]:
-    entries = [e.strip() for e in src.split(",")]
-    if any(not e for e in entries):
-        raise ValueError(f"empty entry in exponent list {src!r}")
-    try:
-        values = [int(e) for e in entries]
-    except ValueError:
-        raise ValueError(f"exponent list must contain only integers, got {src!r}") from None
+    """Read l,m_1,...,m_n; each entry is an optional sign and ASCII digits,
+    as integers are in a root."""
+    limit = _max_digits()
+    values = []
+    for index, entry in enumerate((e.strip() for e in src.split(",")), start=1):
+        if not entry:
+            raise ValueError(f"empty entry {index} in exponent list")
+        match = _INTEGER.fullmatch(entry)
+        if len(match[1] if match else entry) > limit:
+            raise ValueError(f"exponent entry {index} is longer than {limit} digits")
+        if match is None:
+            raise ValueError(f"exponent list must contain only integers, not {entry!r}")
+        values.append(int(entry))
     if len(values) < 2:
         raise ValueError(
             "exponent list needs the numerator exponent and at least one multiplicity"
@@ -215,8 +223,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         if not ns.quiet:
             chunks = list(chunks)
         _write_result(ns.output, chunks)
-    except OSError as err:
-        print(f"partfrac: error: cannot write {ns.output!r}: {err}", file=sys.stderr)
+    except OSError as err:  # the reason alone: its file name may be the temporary file
+        reason = err.strerror or err  # a StreamWriteError has no strerror
+        print(f"partfrac: error: cannot write {ns.output!r}: {reason}", file=sys.stderr)
         return 1
     except ValueError as err:  # an integer too long to convert to text
         print(f"partfrac: error: cannot render the result: {err}", file=sys.stderr)

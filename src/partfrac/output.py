@@ -14,6 +14,14 @@ are rendered in two text modes:
   ``M <degree> <coefficient>`` or ``P <factor> <order> <coefficient>`` with
   1-based factor numbers and coefficients in the same infix grammar.
 
+One sign rule writes every signed term -- a summand, a decomposition term
+and the root in a pole base ``(x - a)`` or ``(x + |a|)``: a leading negative
+rational becomes the sign; a rational of magnitude 1 is dropped when anything
+follows it; a rational with nothing after it is written bare (``1/2``), one
+followed by factors as a factor (``(1/2)*...``); a Sum is parenthesized as a
+factor.  The text is read off the terms' factors, so rendering builds no
+expression node.
+
 Serialization is byte-for-byte deterministic.  For large results,
 :func:`write_streaming` pushes terms through a fixed-capacity buffer so
 resident memory stays bounded by the buffer plus the largest single term.
@@ -26,7 +34,7 @@ from fractions import Fraction
 from typing import BinaryIO, Iterable, Iterator
 
 from .core import VARIABLE, Decomposition, MonomialTerm, PoleTerm, _expanded_terms, collect
-from .expr import ONE, Constant, Expr, Numeric, Power, Product, Sum, Symbol, expand
+from .expr import Constant, Expr, Numeric, Power, Product, Sum, Symbol, expand
 
 __all__ = [
     "OutputFormat",
@@ -67,79 +75,66 @@ def _render_rational_factor(v: Numeric) -> str:
     return f"({_render_fraction(v)})"
 
 
-def _render_power(e: Power, memo: dict[Expr, str]) -> str:
-    base = e.base
-    base_s = base.name if isinstance(base, Symbol) else f"({_render_sum_level(base, memo)})"
-    exp_s = str(e.exponent) if e.exponent >= 0 else f"({e.exponent})"
-    return f"{base_s}^{exp_s}"
-
-
 def _render_factor(e: Expr, memo: dict[Expr, str]) -> str:
-    """Render for use inside a '*'-joined product.  ``memo`` maps each Power
-    rendered so far to its text, so a shared power is rendered once."""
+    """Render a factor for use inside a '*'-joined product.  ``memo`` maps
+    each Power rendered so far to its text, so a shared power is rendered
+    once."""
     if isinstance(e, Power):
         text = memo.get(e)
         if text is None:
-            text = memo[e] = _render_power(e, memo)
+            base, n = _render_factor(e.base, memo), e.exponent  # a Symbol or a Sum
+            text = memo[e] = f"{base}^{n}" if n >= 0 else f"{base}^({n})"
         return text
     if isinstance(e, Symbol):
         return e.name
     if isinstance(e, Constant):
         return _render_rational_factor(e.value)
-    if isinstance(e, Sum):
-        return f"({_render_sum_level(e, memo)})"
-    return "*".join([_render_factor(f, memo) for f in e.factors])
+    return f"({_render_sum_level(e, memo)})"
 
 
-def _render_term(e: Expr, memo: dict[Expr, str]) -> str:
-    """Render a term for use inside a ' + '-joined sum; a Sum gets
-    parentheses."""
-    if isinstance(e, Symbol):  # most terms of a root difference: skip a call
-        return e.name
-    if isinstance(e, Product):
-        return "*".join([_render_factor(f, memo) for f in e.factors])
+def _render_signed(e: Expr, memo: dict[Expr, str], tail: str | None = None) -> tuple[bool, str]:
+    """Split a term into its sign and the text of its magnitude, followed by
+    ``*tail`` when a tail is given: -3*a -> (True, "3*a"), by the sign rule
+    in the module docstring."""
     if isinstance(e, Constant):
-        return _render_fraction(e.value)
-    return _render_factor(e, memo)
-
-
-def _sign_split(e: Expr) -> tuple[bool, Expr]:
-    """Split a leading negative rational off a term: -3*a -> (True, 3*a)."""
-    if isinstance(e, Product):
-        head = e.factors[0]
-        if isinstance(head, Constant) and head.value < 0:
-            rest = e.factors[1:]
-            if head.value == -1:
-                return True, rest[0] if len(rest) == 1 else Product(rest)
-            return True, Product((Constant(-head.value),) + rest)
-    elif isinstance(e, Constant) and e.value < 0:
-        return True, Constant(-e.value)
-    return False, e
+        v = e.value
+        negative = v < 0
+        if negative:
+            v = -v
+        if tail is None:
+            return negative, _render_fraction(v)
+        return negative, tail if v == 1 else f"{_render_rational_factor(v)}*{tail}"
+    if not isinstance(e, Product):
+        text = _render_factor(e, memo)
+        return False, text if tail is None else f"{text}*{tail}"
+    factors = e.factors
+    head = factors[0]
+    negative = False
+    if isinstance(head, Constant):
+        v = head.value
+        texts = [_render_factor(f, memo) for f in factors[1:]]
+        if v < 0:
+            negative, v = True, -v
+        if v != 1:
+            texts.insert(0, _render_rational_factor(v))
+    else:
+        texts = [_render_factor(f, memo) for f in factors]
+    if tail is not None:
+        texts.append(tail)
+    return negative, "*".join(texts)
 
 
 def _render_sum_level(e: Expr, memo: dict[Expr, str]) -> str:
-    """Render the terms of a Sum (or one term) with their signs.  A Product
-    is rendered from its factors, a negative head constant as ' - ' and
-    its magnitude, so no node is built for the magnitude."""
+    """Render the terms of a Sum (or one term) with their signs."""
     pieces = []
     for t in e.terms if isinstance(e, Sum) else (e,):
-        if isinstance(t, Product):
-            head = t.factors[0]
-            texts = [_render_factor(f, memo) for f in t.factors[1:]]
-            if isinstance(head, Constant) and head.value < 0:
-                pieces.append(" - ")
-                if head.value != -1:
-                    texts.insert(0, _render_rational_factor(-head.value))
-            else:
-                pieces.append(" + ")
-                texts.insert(0, _render_factor(head, memo))
-            pieces.append("*".join(texts))
-        elif isinstance(t, Constant) and t.value < 0:
-            pieces.append(" - ")
-            pieces.append(_render_fraction(-t.value))
-        else:
+        if isinstance(t, Symbol):  # most terms of a root difference: skip a call
             pieces.append(" + ")
-            pieces.append(_render_term(t, memo))
+            pieces.append(t.name)
+        else:
+            negative, text = _render_signed(t, memo)
+            pieces.append(" - " if negative else " + ")
+            pieces.append(text)
     pieces[0] = "-" if pieces[0] == " - " else ""  # the first term's sign
     return "".join(pieces)
 
@@ -147,31 +142,6 @@ def _render_sum_level(e: Expr, memo: dict[Expr, str]) -> str:
 def render_expr(e: Expr) -> str:
     """Deterministic infix text; parses back to the same canonical Expr."""
     return _render_sum_level(e, {})
-
-
-# --- decomposition term rendering --------------------------------------------
-
-
-def _pole_base(root: Expr, order: int, memo: dict[Expr, str]) -> str:
-    negative, magnitude = _sign_split(root)
-    sign = "+" if negative else "-"
-    return f"({VARIABLE} {sign} {_render_term(magnitude, memo)})^(-{order})"
-
-
-def _infix_body(
-    term: MonomialTerm | PoleTerm, magnitude: Expr, root: Expr | None, memo: dict[Expr, str]
-) -> str:
-    if isinstance(term, MonomialTerm):
-        if term.degree == 0:
-            return _render_term(magnitude, memo)
-        x_s = VARIABLE if term.degree == 1 else f"{VARIABLE}^{term.degree}"
-        if magnitude == ONE:
-            return x_s
-        return f"{_render_factor(magnitude, memo)}*{x_s}"
-    base = _pole_base(root, term.order, memo)
-    if magnitude == ONE:
-        return base
-    return f"{_render_factor(magnitude, memo)}*{base}"
 
 
 # --- term streams ------------------------------------------------------------
@@ -205,9 +175,14 @@ def term_chunks(d: Decomposition, fmt: OutputFormat = OutputFormat()) -> Iterato
         return
     emitted = False
     for term in (*d.monomials, *d.poles):
-        root = d.roots[term.pole_index] if isinstance(term, PoleTerm) else None
-        negative, magnitude = _sign_split(term.coefficient)
-        body = _infix_body(term, magnitude, root, memo)
+        if isinstance(term, PoleTerm):  # the pole base (x - a)^(-j) as a tail
+            negative, root = _render_signed(d.roots[term.pole_index], memo)
+            tail = f"({VARIABLE} {'+' if negative else '-'} {root})^(-{term.order})"
+        elif term.degree:
+            tail = VARIABLE if term.degree == 1 else f"{VARIABLE}^{term.degree}"
+        else:
+            tail = None
+        negative, body = _render_signed(term.coefficient, memo, tail)
         if not emitted:
             yield f"-{body}" if negative else body
             emitted = True

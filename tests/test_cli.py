@@ -83,10 +83,19 @@ def test_parse_error_reported_with_span(in_tmp, capsys):
 
 
 def test_bad_exponent_lists(in_tmp, capsys):
-    for exponents in ("", "1", "a,b", "1,,2", "-1,1", "0,0", "0,-2"):
+    # int() would read 1_0 as 10 and the Arabic-Indic digit three as 3
+    for exponents in ("", "1", "a,b", "1,,2", "-1,1", "0,0", "0,-2", "1_0,1", "\u0663,1"):
         code, _, err = run_cli(capsys, exponents, "r")
         assert code == 1, exponents
         assert err.startswith("partfrac: error:"), exponents
+    assert run_cli(capsys, " +0 , 01 ", "r")[:2] == (0, "(x - r)^(-1)\n")
+
+
+def test_overlong_exponent_is_named_by_its_index(in_tmp, capsys):
+    code, out, err = run_cli(capsys, "0," + "9" * 5000, "a")
+    assert code == 1 and out == ""
+    assert err == "partfrac: error: exponent entry 2 is longer than 4300 digits\n"
+    assert os.listdir(in_tmp) == []
 
 
 def test_help_exits_0(in_tmp, capsys):
@@ -158,6 +167,14 @@ def test_failed_write_leaves_no_partial_file(in_tmp, capsys, monkeypatch):
     assert run_cli(capsys, "3,1,2", "a,b")[0] == 1
     assert os.listdir(in_tmp) == ["result.out"]
     assert (in_tmp / "result.out").read_text() == "previous result\n"
+
+
+def test_write_error_names_the_path_and_the_reason(in_tmp, capsys):
+    target = in_tmp / "missing" / "x"
+    code, out, err = run_cli(capsys, "--output", str(target), "0,1", "a")
+    assert code == 1 and out == ""
+    assert err == f"partfrac: error: cannot write {str(target)!r}: No such file or directory\n"
+    assert ".tmp" not in err
 
 
 def test_huge_integers_end_in_one_line(in_tmp, capsys):

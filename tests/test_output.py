@@ -13,6 +13,7 @@ from partfrac import (
     MonomialTerm,
     OutputFormat,
     PoleTerm,
+    RationalFunctionSpec,
     StreamBuffer,
     StreamWriteError,
     collect,
@@ -28,8 +29,13 @@ from partfrac import (
     write_streaming,
 )
 from partfrac import output
-from partfrac.expr import Expr, Product, Sum
-from helpers import random_rational_spec, random_symbolic_spec, roots23_spec
+from partfrac.expr import Expr, Power, Product, Sum, Symbol
+from helpers import (
+    random_mixed_spec,
+    random_rational_spec,
+    random_symbolic_spec,
+    roots23_spec,
+)
 from test_expr import _canonical_or_skip, raw_trees
 
 a, b = symbols("a b")
@@ -210,16 +216,87 @@ def test_coefficient_round_trip_through_parser():
             assert parse_expr(render_expr(term.coefficient)) == term.coefficient
 
 
-def _reference_sum_level(e, memo):
-    """The sum level as written before signs were rendered without new
-    nodes: split the sign off each term as a node, then render that node."""
+# The rendering as it was written before signs were read off the factors:
+# split a leading negative rational off each term as a new node, then render
+# that node.  It shares no code with output.py.
+
+
+def _ref_sign_split(e):
+    """-3*a -> (True, 3*a)."""
+    if isinstance(e, Product):
+        head = e.factors[0]
+        if isinstance(head, Constant) and head.value < 0:
+            rest = e.factors[1:]
+            if head.value == -1:
+                return True, rest[0] if len(rest) == 1 else Product(rest)
+            return True, Product((Constant(-head.value),) + rest)
+    elif isinstance(e, Constant) and e.value < 0:
+        return True, Constant(-e.value)
+    return False, e
+
+
+def _ref_fraction(v):
+    v = Fraction(v)
+    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
+def _ref_factor(e):
+    """A factor of a '*'-joined product."""
+    if isinstance(e, Power):
+        n = e.exponent
+        return f"{_ref_factor(e.base)}^{n}" if n >= 0 else f"{_ref_factor(e.base)}^({n})"
+    if isinstance(e, Symbol):
+        return e.name
+    if isinstance(e, Constant):
+        text = _ref_fraction(e.value)
+        return text if e.value >= 0 and "/" not in text else f"({text})"
+    if isinstance(e, Sum):
+        return f"({_ref_sum_level(e)})"
+    return "*".join(_ref_factor(f) for f in e.factors)
+
+
+def _ref_term(e):
+    """A term of a ' + '-joined sum."""
+    if isinstance(e, Product):
+        return "*".join(_ref_factor(f) for f in e.factors)
+    if isinstance(e, Constant):
+        return _ref_fraction(e.value)
+    return _ref_factor(e)
+
+
+def _ref_sum_level(e):
     pieces = []
     for t in e.terms if isinstance(e, Sum) else (e,):
-        negative, magnitude = output._sign_split(t)
-        pieces.append(" - " if negative else " + ")
-        pieces.append(output._render_term(magnitude, memo))
+        negative, magnitude = _ref_sign_split(t)
+        pieces += [" - " if negative else " + ", _ref_term(magnitude)]
     pieces[0] = "-" if pieces[0] == " - " else ""
     return "".join(pieces)
+
+
+def _ref_chunks(d, mode):
+    """The term stream of ``d``: each term's sign split off as a node, then
+    its magnitude, its power of x or its pole base (x -/+ |root|)^(-j)."""
+    if mode == "structured":
+        return [f"M {t.degree} {_ref_sum_level(t.coefficient)}\n" for t in d.monomials] + [
+            f"P {t.pole_index + 1} {t.order} {_ref_sum_level(t.coefficient)}\n" for t in d.poles
+        ]
+    chunks = []
+    for term in (*d.monomials, *d.poles):
+        negative, magnitude = _ref_sign_split(term.coefficient)
+        if isinstance(term, PoleTerm):
+            root_negative, root = _ref_sign_split(d.roots[term.pole_index])
+            tail = f"(x {'+' if root_negative else '-'} {_ref_term(root)})^(-{term.order})"
+        elif term.degree:
+            tail = "x" if term.degree == 1 else f"x^{term.degree}"
+        else:
+            tail = None
+        if tail is None:
+            body = _ref_term(magnitude)
+        else:
+            body = tail if magnitude == ONE else f"{_ref_factor(magnitude)}*{tail}"
+        sign = ("-" if negative else "") if not chunks else (" - " if negative else " + ")
+        chunks.append(sign + body)
+    return chunks or ["0"]
 
 
 @settings(max_examples=300)
@@ -230,7 +307,7 @@ def test_sum_level_matches_the_sign_split_reference(tree, seed):
     canon = _canonical_or_skip(tree)
     for e in (canon, -canon):
         text = output._render_sum_level(e, {})
-        assert text == _reference_sum_level(e, {})
+        assert text == _ref_sum_level(e)
         parsed = parse_expr(text)
         try:
             value = evaluate(e, bindings)
@@ -239,19 +316,53 @@ def test_sum_level_matches_the_sign_split_reference(tree, seed):
         assert evaluate(parsed, bindings) == value
 
 
-def test_serializing_roots23_builds_no_product(monkeypatch):
-    d = decompose(roots23_spec())
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_term_streams_match_the_sign_split_reference(seed):
+    # rational, Sum and Product roots, each negated half of the time, and
+    # numerator degrees up to 2m, so improper inputs too
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        spec = random_mixed_spec(rng, max_n=4, max_mult=3)
+    else:
+        spec = random_rational_spec(rng, max_n=4, max_mult=3, numerator="any")
+    sign = rng.choice((1, -1))
+    spec = RationalFunctionSpec(
+        spec.numerator_degree, tuple((sign * r, m) for r, m in spec.factors)
+    )
+    d = decompose(spec)
+    formats = (OutputFormat(), OutputFormat("structured"), OutputFormat(expand_coefficients=True))
+    for fmt in formats:
+        assert list(term_chunks(d, fmt)) == _ref_chunks(output._prepared(d, fmt), fmt.mode)
+
+
+def test_serializing_builds_no_node(monkeypatch):
+    specs = [
+        RationalFunctionSpec(0, ((a, 3), (b, 2))),
+        RationalFunctionSpec(2, ((Constant(Fraction(1, 2)), 1), (Constant(-3), 2), (ONE, 1))),
+        RationalFunctionSpec(7, ((a, 2), (-b, 1), (a + b, 1))),  # improper
+        roots23_spec(),
+    ]
+    ds = [decompose(spec) for spec in specs]
     built = []
+    new, power_new = Expr.__new__, Power.__new__
 
     def counted(cls, *fields):
-        built.append(fields)
-        return Expr.__new__(cls, *fields)
+        built.append(cls)
+        return new(cls, *fields)
 
-    monkeypatch.setattr(Product, "__new__", counted)
-    assert Product((a, b)) == a * b and len(built) == 2  # the count sees every Product
+    def counted_power(cls, base, exponent):
+        built.append(cls)
+        return power_new(cls, base, exponent)
+
+    monkeypatch.setattr(Expr, "__new__", counted)
+    monkeypatch.setattr(Power, "__new__", counted_power)
+    Constant(2), Symbol("c"), Power(a, 2), Product((a, b)), Sum((a, b))
+    assert built == [Constant, Symbol, Power, Product, Sum]  # the count sees every kind
     built.clear()
-    for mode in ("infix", "structured"):
-        serialize(d, OutputFormat(mode=mode))
+    for d in ds:
+        for mode in ("infix", "structured"):
+            serialize(d, OutputFormat(mode=mode))
     assert built == []
 
 

@@ -24,9 +24,7 @@ def binomial(n: int, k: int) -> int:
     """
     if n < 0:
         raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
+    return comb(n, k) if k >= 0 else 0
 
 
 def multinomial(m: int, parts: Sequence[int]) -> int:

@@ -278,19 +278,6 @@ def proper_contributions(spec: RationalFunctionSpec) -> Iterator[tuple[int, int,
     )
 
 
-def _difference(a_i: Symbol, a_k: Expr, negated_k: Expr) -> Expr:
-    """a_i - a_k for a Symbol a_i, given negated_k = -a_k.  Less a Symbol or
-    a nonzero Constant it is the two-term Sum, built directly with its terms
-    in canonical order: a Constant (kind 0), then a_i (kind 1), then the
-    Product -a_k (kind 3).  a_i - 0 is a_i.  Other roots go through
-    ``__add__``."""
-    if isinstance(a_k, Symbol):
-        return Sum((a_i, negated_k))
-    if isinstance(a_k, Constant):
-        return Sum((negated_k, a_i)) if a_k.value else a_i
-    return a_i + negated_k
-
-
 def _pole_contributions(
     spec: RationalFunctionSpec, degrees: Sequence[int], residues_only: bool = False
 ) -> Iterator[tuple[int, int, int, list[Expr], bool]]:
@@ -305,9 +292,10 @@ def _pole_contributions(
     j < m_i, are built once, and each power a_i^e once, at its first use.
     The signed binomials (-1)^j * C(m_k+j-1, j) are built once per distinct
     (m_k, m_i), the binomials C(l, j), j < m_i, once per pole and degree,
-    and a scale's Constant once.  A Symbol less a Symbol or a Constant is
-    built as its canonical form directly (see :func:`_difference`), and the
-    powers of a Sum as Power nodes.  For a direct pole, a contribution is
+    and a scale's Constant once.  A Symbol less a Symbol is built directly
+    as its canonical two-term Sum: a_i (kind 1), then the Product -a_k
+    (kind 3); other differences as a_i + (-a_k).  The powers of a Sum are
+    built as Power nodes.  For a direct pole, a contribution is
     assembled as the canonical Product directly: the bases are pairwise
     distinct (the spec refuses equal roots), the Symbol sorts first, the
     differences keep their own sorted order, and no power is a bare Sum to
@@ -333,7 +321,8 @@ def _pole_contributions(
         others = [k for k in range(n) if k != i]
         symbol = isinstance(a_i, Symbol)
         diffs = [
-            _difference(a_i, roots[k], negated[k]) if symbol else a_i + negated[k]
+            Sum((a_i, negated[k])) if symbol and isinstance(roots[k], Symbol)
+            else a_i + negated[k]
             for k in others
         ]
         powers = [

@@ -76,6 +76,18 @@ class UnboundSymbolError(KeyError):
         return f"no binding for symbol '{self.name}'"
 
 
+def _operator(build: Callable[[Expr, Expr], Expr]):
+    """The method ``build(self, other)`` of a binary operator, with ``other``
+    coerced to an Expr, or NotImplemented when it is not an Expr, int or
+    Fraction."""
+
+    def method(self, other):
+        other = _coerce(other)
+        return NotImplemented if other is None else build(self, other)
+
+    return method
+
+
 class Expr(tuple):
     """Base class for expression nodes; supports exact arithmetic operators.
 
@@ -102,45 +114,12 @@ class Expr(tuple):
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(map(repr, self.__getnewargs__()))})"
 
-    def __add__(self, other: "Expr | Numeric") -> "Expr":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _make_sum([self, other])
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Expr | Numeric") -> "Expr":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _make_sum([self, _negate(other)])
-
-    def __rsub__(self, other: "Expr | Numeric") -> "Expr":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _make_sum([other, _negate(self)])
-
-    def __mul__(self, other: "Expr | Numeric") -> "Expr":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _make_product([self, other])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "Expr | Numeric") -> "Expr":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _make_product([self, _make_power(other, -1)])
-
-    def __rtruediv__(self, other: "Expr | Numeric") -> "Expr":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _make_product([other, _make_power(self, -1)])
+    __add__ = __radd__ = _operator(lambda e, o: _make_sum([e, o]))
+    __sub__ = _operator(lambda e, o: _make_sum([e, _negate(o)]))
+    __rsub__ = _operator(lambda e, o: _make_sum([o, _negate(e)]))
+    __mul__ = __rmul__ = _operator(lambda e, o: _make_product([e, o]))
+    __truediv__ = _operator(lambda e, o: _make_product([e, _make_power(o, -1)]))
+    __rtruediv__ = _operator(lambda e, o: _make_product([o, _make_power(e, -1)]))
 
     def __neg__(self) -> "Expr":
         return _negate(self)

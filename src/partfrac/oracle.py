@@ -301,10 +301,17 @@ def compare_with_oracle(spec: RationalFunctionSpec, d: Decomposition) -> str | N
     denominator splits off the quotient (empty for proper inputs) and the
     remainder is decomposed with one integer, fraction-free linear solve, so
     no step shares code with the closed-formula engine.  Returns None on
-    agreement, else a mismatch description.
+    agreement, else a mismatch description: the first factor with a pole
+    term whose root is not the spec's, or the first coefficient that
+    differs.  A root with no pole term does not enter the value, so a root
+    list that omits it, as a batch's does, agrees.
     """
     if not all(isinstance(root, Constant) for root in spec.roots):
         raise ValueError("oracle comparison requires all-rational roots")
+    for i in sorted({p.pole_index for p in d.poles}):
+        got, want = d.roots[i], spec.roots[i] if i < len(spec.roots) else None
+        if got != want:
+            return f"root mismatch at factor {i + 1}: engine={got} spec={want}"
     roots, cleared = _cleared_denominator(
         [root.value for root in spec.roots], spec.multiplicities
     )

@@ -30,7 +30,6 @@ resident memory stays bounded by the buffer plus the largest single term.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import BinaryIO, Iterable, Iterator
 
 from .core import VARIABLE, Decomposition, MonomialTerm, PoleTerm, _expanded_terms, collect
@@ -64,21 +63,16 @@ class OutputFormat:
 # ASCII, and re-parseable into the identical canonical expression.
 
 
-def _render_fraction(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
 def _render_rational_factor(v: Numeric) -> str:
-    """A rational inside a product; negative and fractional ones in parentheses."""
-    if v.denominator == 1 and v >= 0:
-        return str(v.numerator)
-    return f"({_render_fraction(v)})"
+    """A positive rational inside a product; a fraction in parentheses."""
+    return str(v) if v.denominator == 1 else f"({v})"
 
 
 def _render_factor(e: Expr, memo: dict[Expr, str]) -> str:
-    """Render a factor for use inside a '*'-joined product.  ``memo`` maps
-    each Power rendered so far to its text, so a shared power is rendered
-    once."""
+    """Render a Power, Symbol or Sum factor for use inside a '*'-joined
+    product (a canonical Product's only Constant is its head, which
+    :func:`_render_signed` writes).  ``memo`` maps each Power rendered so
+    far to its text, so a shared power is rendered once."""
     if isinstance(e, Power):
         text = memo.get(e)
         if text is None:
@@ -87,8 +81,6 @@ def _render_factor(e: Expr, memo: dict[Expr, str]) -> str:
         return text
     if isinstance(e, Symbol):
         return e.name
-    if isinstance(e, Constant):
-        return _render_rational_factor(e.value)
     return f"({_render_sum_level(e, memo)})"
 
 
@@ -102,7 +94,7 @@ def _render_signed(e: Expr, memo: dict[Expr, str], tail: str | None = None) -> t
         if negative:
             v = -v
         if tail is None:
-            return negative, _render_fraction(v)
+            return negative, str(v)
         return negative, tail if v == 1 else f"{_render_rational_factor(v)}*{tail}"
     if not isinstance(e, Product):
         text = _render_factor(e, memo)

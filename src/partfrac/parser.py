@@ -21,15 +21,13 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .expr import IDENTIFIER, Constant, Expr, Product, Symbol, product_of
+from .expr import _MINUS_ONE, IDENTIFIER, Constant, Expr, Product, Symbol, product_of
 
 __all__ = ["SourceSpan", "ParseError", "parse_expr", "parse_root_list"]
 
 # Each nesting level costs several interpreter frames; keep the cap well
 # below Python's default recursion limit so malformed input cannot crash us.
 _MAX_DEPTH = 100
-
-_MINUS_ONE = Constant(-1)
 
 
 def _max_digits() -> int:

@@ -66,6 +66,8 @@ def test_spec_invariants():
         spec_of(0, (a, 2.7), (b, 1))
     with pytest.raises(TypeError):
         spec_of(1.5, (a, 1))
+    with pytest.raises(TypeError, match="root must be an Expr"):
+        spec_of(0, (a, 1), (2, 1))
     assert spec_of(True, (a, True)) == spec_of(1, (a, 1))
     # a root whose denominator is zero: 1/(a-b) + 1/(b-a) is a nonzero Sum
     with pytest.raises(ValueError, match="undefined"):
@@ -775,13 +777,14 @@ def test_symbol_differences_are_built_without_make_sum(monkeypatch):
     monkeypatch.setattr(expr, "_make_sum", lambda ts: calls.append(1) or real(ts))
     assert _count(core._pole_contributions(spec, (0,))) == 1123
     assert calls == []
-    # Symbol and rational roots: a Symbol less a rational is built directly
-    # too, and a Symbol less 0 is the Symbol; only the differences at the
-    # three rational poles, 5 each, go through _make_sum
+    # Symbol and rational roots: only a Symbol less a Symbol is built
+    # directly; the differences at the three rational poles, 5 each, and
+    # those of the three Symbol poles to the three rational roots go
+    # through _make_sum
     mixed = spec_of(2, (a, 2), (Constant(3), 1), (b, 1), (Constant(0), 2),
                     (Constant(Fraction(-1, 2)), 1), (c, 1))
     count = _count(core._pole_contributions(mixed, (2,)))
-    assert len(calls) == 3 * 5
+    assert len(calls) == 3 * 5 + 3 * 3
     assert count == sum(1 for _ in _contributions_by_product_of(mixed, (2,), False))
 
 

@@ -86,6 +86,10 @@ def test_identical_subtrees_cancel():
     assert (a - b) - (a - b) == ZERO
     assert a - a == ZERO
     assert a * b - b * a == ZERO
+    # a number less an expression
+    assert 1 - a == Sum((ONE, Product((Constant(-1), a))))
+    assert Fraction(1, 2) - a == Sum((Constant(Fraction(1, 2)), Product((Constant(-1), a))))
+    assert (1 - a) + a == ONE
 
 
 def test_like_terms_merge():
@@ -101,6 +105,8 @@ def test_power_normalization():
     assert (a * b) ** 2 == a**2 * b**2
     assert Constant(Fraction(2, 3)) ** -2 == Constant(Fraction(9, 4))
     assert a**2 * a**-2 == ONE
+    with pytest.raises(TypeError, match="exponent must be an int"):
+        a**1.5
 
 
 def test_products_keep_single_constant():
@@ -115,6 +121,15 @@ def test_rational_multiple_of_sum_distributes():
     assert canonicalize(Product((Constant(-1), Sum((a, Product((Constant(-1), b))))))) \
         == b - a
     assert 2 * (a + b) == 2 * a + 2 * b
+
+
+def test_operators_refuse_what_is_not_an_expression():
+    for name in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv"):
+        assert getattr(a, f"__{name}__")("s") is NotImplemented
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for left, right in ((a, "s"), ("s", a), (a + 1, 1.5)):
+            with pytest.raises(TypeError):
+                op(left, right)
 
 
 def test_zero_absorbs_product():
@@ -165,6 +180,7 @@ def test_evaluate_unbound_symbol_names_it():
     with pytest.raises(UnboundSymbolError) as err:
         evaluate(a + b, {"a": 1})
     assert err.value.name == "b"
+    assert str(err.value) == "no binding for symbol 'b'"
 
 
 @settings(max_examples=100)
@@ -506,6 +522,7 @@ def test_evaluate_returns_a_fraction_for_every_node_kind():
     assert evaluate(Power(Constant(2), -1), {}) == Fraction(1, 2)
     assert evaluate(Power(a, -3), {"a": 2}) == Fraction(1, 8)
     assert evaluate(Constant(3), {}) == 3
+    assert evaluate(a, {"a": 0.5}) == Fraction(1, 2)  # a float binding, exactly
 
 
 @settings(max_examples=150)

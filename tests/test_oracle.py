@@ -59,6 +59,10 @@ def test_oracle_validates_input():
         oracle_decompose(0, [Fraction(1), Fraction(1)], [1, 1])  # duplicate
     with pytest.raises(ValueError):
         oracle_decompose(0, [Fraction(1)], [0])
+    with pytest.raises(ValueError, match="l >= 0"):
+        oracle_decompose(-1, [Fraction(1)], [1])
+    with pytest.raises(ValueError, match="differ in length"):
+        oracle_decompose(0, [Fraction(1), Fraction(2)], [1])
 
 
 def test_oracle_is_self_consistent():
@@ -103,6 +107,21 @@ def test_compare_with_oracle_detects_mismatch():
         )
         message = compare_with_oracle(spec, bad)
         assert message is not None and "mismatch" in message
+        symbolic = Decomposition(d.roots, d.monomials, (PoleTerm(0, 1, a),) + d.poles[1:])
+        assert compare_with_oracle(spec, symbolic) == "coefficient a is not rational"
+
+
+def test_compare_with_oracle_checks_the_roots():
+    # 1/((x-3)(x-4)) and 1/((x-1)(x-2)) both have the coefficients -1 and 1
+    spec = RationalFunctionSpec(0, ((Constant(1), 1), (Constant(2), 1)))
+    other = decompose(RationalFunctionSpec(0, ((Constant(3), 1), (Constant(4), 1))))
+    assert not check_by_substitution(spec, other, trials=1).passed
+    assert compare_with_oracle(spec, other) == "root mismatch at factor 1: engine=3 spec=1"
+    d = decompose(spec)
+    swapped = Decomposition(d.roots[::-1], d.monomials, d.poles)
+    assert compare_with_oracle(spec, swapped) == "root mismatch at factor 1: engine=2 spec=1"
+    extra = Decomposition(d.roots + (Constant(5),), (), (PoleTerm(2, 1, Constant(1)),))
+    assert compare_with_oracle(spec, extra) == "root mismatch at factor 3: engine=5 spec=None"
 
 
 def test_compare_with_oracle_mismatch_message_prints_values_as_text():

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import binomial, compositions
 from .expr import ONE, ZERO, Constant, Expr, Power, Product, Sum, Symbol, product_of
-from .expr import _evaluator, _make_sum, _random_prime, symbols_in
+from .expr import _evaluator, _make_sum, _random_prime, _RandomBindings, symbols_in
 
 __all__ = [
     "DuplicateRootError",
@@ -142,17 +142,16 @@ class RationalFunctionSpec:
         terms = max(self.numerator_degree - m + 1, 0) + m
         if terms > MAX_OUTPUT_TERMS:
             raise ValueError(f"the result could have {terms} terms, more than {MAX_OUTPUT_TERMS}")
-        roots, names = self.roots, set()
+        roots = self.roots
         for idx, root in enumerate(roots, start=1):
-            names |= symbols_in(root)
-            if VARIABLE in names:
+            if VARIABLE in symbols_in(root):
                 raise ValueError(f"root {idx} contains the decomposition variable '{VARIABLE}'")
         rng = random.Random(_seed_text(self.factors))
         undefined = set(range(len(roots)))  # roots that divided by zero in every trial
         tied = None  # pairs that no trial told apart
         for trial in range(1 + _EXTRA_TRIALS):
             p = _random_prime(rng) if trial else _MERSENNE_61
-            value = _evaluator({name: rng.randrange(p) for name in sorted(names)}, modulus=p)
+            value = _evaluator(_RandomBindings(rng, p), modulus=p)
             vals = []
             for root in roots:
                 try:

@@ -35,7 +35,7 @@ import random
 import re
 from fractions import Fraction
 from operator import is_, itemgetter
-from typing import Callable, Container, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .combinatorics import compositions, multinomial
 
@@ -78,8 +78,7 @@ class UnboundSymbolError(KeyError):
 
 def _operator(build: Callable[[Expr, Expr], Expr]):
     """The method ``build(self, other)`` of a binary operator, with ``other``
-    coerced to an Expr, or NotImplemented when it is not an Expr, int or
-    Fraction."""
+    coerced to an Expr by ``_coerce``, or NotImplemented when it is not one."""
 
     def method(self, other):
         other = _coerce(other)
@@ -209,6 +208,8 @@ def _coerce(x) -> Expr | None:
         return x
     if isinstance(x, (int, Fraction)):
         return Constant(x)
+    if isinstance(x, tuple):  # given NotImplemented, tuple + node concatenates
+        raise TypeError(f"cannot interpret {type(x).__name__} as an expression")
     return None
 
 
@@ -377,9 +378,7 @@ def evaluate(e: Expr, bindings: Mapping[str, Numeric]) -> Fraction:
 
 
 def _evaluator(
-    bindings: Mapping[str, Numeric],
-    shared: Container[Expr] | None = None,
-    modulus: int | None = None,
+    bindings: Mapping[str, Numeric], modulus: int | None = None
 ) -> Callable[[Expr], Numeric]:
     """The value function of one binding.  Without ``modulus`` it is exact,
     and values are ``int`` or ``Fraction``.  Given a prime ``modulus`` p,
@@ -388,11 +387,11 @@ def _evaluator(
     base under a negative power raises ZeroDivisionError, and so, mod p, does
     a Constant or a binding whose denominator is 0 mod p.
 
-    Power nodes are memoized by node, so a power shared within or across the
-    expressions evaluated is raised once per binding; given ``shared``, only
-    the powers in it are kept.  Other nodes are computed directly: a
-    product's or a sum's value is large and its node rarely shared, and
-    memoizing them costs more memory than it saves.
+    Every Power raised is memoized by node, so a power shared within or
+    across the expressions evaluated is raised once per binding.  Other
+    nodes are computed directly: a product's or a sum's value is large and
+    its node rarely shared, and memoizing them costs more memory than it
+    saves.  A symbol reads ``bindings[name]``, which ``__missing__`` may bind.
     """
     memo: dict[Expr, Numeric] = {}
 
@@ -412,8 +411,7 @@ def _evaluator(
                     total %= modulus
             return total
         if isinstance(e, Power):
-            kept = shared is None or e in shared
-            v = memo.get(e) if kept else None
+            v = memo.get(e)
             if v is not None:
                 return v
             base, k = value(e.base), e.exponent
@@ -425,8 +423,7 @@ def _evaluator(
                 v = base**k
             else:  # int ** -k is a float
                 v = (base if isinstance(base, Fraction) else Fraction(base)) ** k
-            if kept:
-                memo[e] = v
+            memo[e] = v
             return v
         if isinstance(e, Sum):
             total = 0
@@ -482,29 +479,16 @@ def _random_prime(rng: random.Random) -> int:
     return n
 
 
-def _distinct_nodes(exprs: Iterable[Expr]) -> tuple[Iterable[Expr], set[Expr]]:
-    """The distinct Symbol, Sum and Power nodes under ``exprs``, and the
-    Power nodes that one evaluator reaches more than once when it evaluates
-    each of ``exprs``.
+class _RandomBindings(dict):
+    """Symbol values in [0, p), each drawn from ``rng`` when evaluation first
+    meets its symbol, in an order that the expressions evaluated fix."""
 
-    Each reach of a Sum or Product reaches its children again; a Power's
-    base is reached once.  Reaches are counted up to two, so no Sum or Power
-    is visited more than twice."""
-    reaches: dict[Expr, int] = {}
-    stack = list(exprs)
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Product):
-            stack.extend(e.factors)
-        elif not isinstance(e, Constant):
-            n = reaches.get(e, 0)
-            if n < 2:
-                reaches[e] = n + 1
-                if isinstance(e, Sum):
-                    stack.extend(e.terms)
-                elif isinstance(e, Power) and not n:
-                    stack.append(e.base)
-    return reaches.keys(), {e for e, n in reaches.items() if n > 1 and isinstance(e, Power)}
+    def __init__(self, rng: random.Random, p: int):
+        super().__init__()
+        self.rng, self.p = rng, p
+
+    def __missing__(self, name: str) -> int:
+        return self.setdefault(name, self.rng.randrange(self.p))
 
 
 def expand(e: Expr) -> Expr:
@@ -548,5 +532,16 @@ def _distribute(u: Expr, v: Expr) -> Expr:
 
 
 def symbols_in(e: Expr) -> frozenset[str]:
-    """Names of all symbols occurring in ``e``."""
-    return frozenset(n.name for n in _distinct_nodes((e,))[0] if isinstance(n, Symbol))
+    """Names of all symbols occurring in ``e``.  A shared Sum or Power is walked
+    once, told apart by identity: hashing a node walks its whole subtree."""
+    names, seen, stack = set(), set(), [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Symbol):
+            names.add(node.name)
+        elif isinstance(node, Product):
+            stack.extend(node.factors)
+        elif not isinstance(node, Constant) and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.terms if isinstance(node, Sum) else (node.base,))
+    return frozenset(names)

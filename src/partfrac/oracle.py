@@ -8,14 +8,14 @@ Two deliberately separate checks:
   system by fraction-free (Bareiss) elimination; each coefficient becomes a
   Fraction only at the end.  It shares no code with the closed-formula
   engine, so agreement is meaningful.
-* :func:`check_by_substitution` — draw a random 62-bit prime p and random
-  values in GF(p) for every symbol and for x, then compare the original
-  rational function against the decomposed sum mod p.  Any disagreement is a
-  real counterexample.  By the Schwartz-Zippel lemma a wrong result passes
-  a trial with probability at most D/p, D the degree of the identity with
-  its denominators cleared, plus the chance that p divides all of its
-  integer coefficients.  No value grows past p, however large the
-  expressions are.
+* :func:`check_by_substitution` — draw a random 62-bit prime p, a random
+  value in GF(p) for each symbol when evaluation first meets it and then
+  for x, and compare the original rational function against the decomposed
+  sum mod p.  Any disagreement is a real counterexample.  Each symbol gets
+  one independent uniform value, so by the Schwartz-Zippel lemma a wrong
+  result passes a trial with probability at most D/p, D the degree of the
+  identity with its denominators cleared, plus the chance that p divides
+  all of its integer coefficients.  No value grows past p.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from math import gcd
 from typing import Callable, Mapping, Sequence
 
 from .core import Decomposition, PoleTerm, RationalFunctionSpec
-from .expr import Constant, Expr, Numeric, Symbol, _distinct_nodes, _evaluator, _random_prime
+from .expr import Constant, Expr, Numeric, _evaluator, _random_prime, _RandomBindings
 
 __all__ = [
     "oracle_decompose",
@@ -244,9 +244,9 @@ def check_by_substitution(
     both sides mod p.  The prime and the bindings are drawn again together
     while a Constant's denominator, the base of a negative power or the
     difference of two roots is 0 mod p; x is drawn again while it hits a
-    root.  Stops at the first counterexample.  All expressions are
-    evaluated through one memo per binding, which keeps the powers
-    evaluation reaches more than once, and no value grows past p.
+    root.  Stops at the first counterexample.  Each symbol is drawn when
+    evaluation first meets it; one memo per binding keeps every power
+    raised, and no value grows past p.
 
     A disagreement is a real counterexample.  Agreement is a proof up to
     chance: clear the denominators of the difference of the two sides to a
@@ -258,17 +258,13 @@ def check_by_substitution(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if points_per_trial < 1:
         raise ValueError(f"points_per_trial must be >= 1, got {points_per_trial}")
-    nodes, shared = _distinct_nodes(
-        (*spec.roots, *d.roots, *(t.coefficient for t in (*d.monomials, *d.poles)))
-    )
-    names = sorted(e.name for e in nodes if isinstance(e, Symbol))
     rng = random.Random(seed)
     checked = 0
     for _ in range(trials):
         for _ in range(100):
             p = _random_prime(rng)
-            bindings = {name: rng.randrange(p) for name in names}
-            value = _evaluator(bindings, shared, p)  # one memo per binding
+            bindings = _RandomBindings(rng, p)
+            value = _evaluator(bindings, modulus=p)  # one memo per binding
             try:
                 spec_roots = [value(root) for root in spec.roots]
                 # Instantiate every term once per binding; the x loop then
@@ -289,6 +285,7 @@ def check_by_substitution(
             decomposed = _decomposition_value(monomials, poles, x, p)
             checked += 1
             if original != decomposed:
+                bindings = dict(sorted(bindings.items()))
                 return SubstitutionReport(
                     trials, checked, Counterexample(bindings, x, original, decomposed, p)
                 )

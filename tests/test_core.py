@@ -40,9 +40,8 @@ from partfrac import (
 )
 from partfrac import core, expr, oracle, output
 from partfrac.core import MAX_EXPANDED_TERMS, MAX_OUTPUT_TERMS, _expanded_terms
-from partfrac.expr import _distinct_nodes
 from helpers import MIXED_ROOTS, random_rational_spec, random_symbolic_spec, roots23_spec
-from test_expr import _canonical_or_skip, raw_trees
+from test_expr import _canonical_or_skip, _shared_dag, raw_trees
 
 a, b, c = symbols("a b c")
 
@@ -111,8 +110,8 @@ def test_expanded_term_estimate_is_an_upper_bound(tree):
         assert _term_count(expand(e)) <= _expanded_terms(e)
     except ValueError:
         return
-    for node in _distinct_nodes((e,))[0]:
-        if isinstance(node, Power) and node.exponent < 0:
+    for node in _power_nodes([e]):
+        if node.exponent < 0:
             assert _term_count(expand(node.base)) <= _expanded_terms(node.base)
 
 
@@ -743,18 +742,19 @@ def test_integral_coefficients_make_no_python_level_fraction_calls(fraction_call
     powers = _power_nodes([*spec.roots, *coefficients])
     assert len(raised) == len(powers) and fraction_calls["__pow__"] == 0
 
-    # only powers reached more than once are memoized: a^2 is reached once
-    # through each of (a^2 + b)^-2 and (a^2 + b)^-3, as sums are not memoized
-    assert _distinct_nodes([a**2 + b, c**3])[1] == set()
-    assert _distinct_nodes([(a**2 + b) ** -2, (a**2 + b) ** -3])[1] == {a**2}
-    # a memoized power's base is evaluated once
-    assert _distinct_nodes([(a**2 + b) ** -2, c * (a**2 + b) ** -2])[1] == {(a**2 + b) ** -2}
-    spec = RationalFunctionSpec(1, (((a**2 + b) ** -2, 2), ((a**2 + b) ** -3, 1), (c, 1)))
-    d = decompose(spec)
-    raised.clear()
-    assert check_by_substitution(spec, d, trials=1, seed=5).passed
-    powers = _power_nodes([*spec.roots, *(t.coefficient for t in (*d.monomials, *d.poles))])
-    assert len(raised) == len(powers) and fraction_calls["__pow__"] == 0
+    # a^2 is reached through both (a^2 + b)^-2 and (a^2 + b)^-3, and each
+    # level of the shared DAG reaches the one below twice
+    for factors in (
+        (((a**2 + b) ** -2, 2), ((a**2 + b) ** -3, 1), (c, 1)),
+        ((_shared_dag(12), 1), (c, 2)),
+    ):
+        spec = RationalFunctionSpec(1, factors)
+        d = decompose(spec)
+        raised.clear()
+        assert check_by_substitution(spec, d, trials=1, seed=5).passed
+        powers = _power_nodes([*spec.roots, *(t.coefficient for t in (*d.monomials, *d.poles))])
+        assert len(raised) == len(powers) and fraction_calls["__pow__"] == 0
+    assert len(powers) == 2 * 12 + 3  # the DAG's, and 3 of a root difference
 
 
 # --- repeated work stays out --------------------------------------------------------

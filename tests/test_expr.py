@@ -127,7 +127,8 @@ def test_operators_refuse_what_is_not_an_expression():
     for name in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv"):
         assert getattr(a, f"__{name}__")("s") is NotImplemented
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
-        for left, right in ((a, "s"), ("s", a), (a + 1, 1.5)):
+        # a plain tuple on the left must not concatenate with a node
+        for left, right in ((a, "s"), ("s", a), (a + 1, 1.5), (("s",), a), (a, ("s",))):
             with pytest.raises(TypeError):
                 op(left, right)
 
@@ -288,9 +289,21 @@ def test_division_operator():
         a / 0
 
 
+def _shared_dag(depth):
+    """a + b under ``depth`` levels of s -> s^2 + s^3: 2 * depth distinct
+    Powers, each level reaching the one below twice.  Built from the node
+    constructors, canonical as built, so that building it hashes nothing."""
+    s = a + b
+    for _ in range(depth):
+        s = Sum((Power(s, 2), Power(s, 3)))
+    return s
+
+
 def test_symbols_in():
     assert symbols_in((a + b) ** 2 * c) == {"a", "b", "c"}
     assert symbols_in(Constant(3)) == frozenset()
+    # a walk that revisits shared nodes would reach a + b 2^30 times
+    assert symbols_in(_shared_dag(30)) == {"a", "b"}
 
 
 def test_symbol_names_follow_the_identifier_grammar():

@@ -23,7 +23,7 @@ from partfrac import (
 )
 from helpers import distinct_rationals, random_rational_spec
 
-a, b = symbols("a b")
+a, b, c = symbols("a b c")
 
 
 # --- undetermined coefficients ----------------------------------------------------
@@ -238,6 +238,11 @@ def test_substitution_check_catches_perturbed_coefficient():
     assert ce.original != ce.decomposed
     assert set(ce.bindings) == {"a", "b"}
     assert "FAILED" in str(report)
+    # a symbol that occurs only in a coefficient is bound too
+    spec = RationalFunctionSpec(0, ((a, 1),))
+    bad = replace(decompose(spec), poles=(PoleTerm(0, 1, c),))
+    report = check_by_substitution(spec, bad, trials=20, seed=7)
+    assert not report.passed and set(report.counterexample.bindings) == {"a", "c"}
 
 
 def test_substitution_check_refuses_to_check_nothing():
@@ -259,6 +264,14 @@ def test_substitution_check_is_deterministic_per_seed():
     r1 = check_by_substitution(spec, d, trials=3, seed=11)
     r2 = check_by_substitution(spec, d, trials=3, seed=11)
     assert r1 == r2
+    # evaluation meets b first; the counterexample lists the bindings by name
+    spec = RationalFunctionSpec(0, ((b, 1), (a, 2)))
+    d = decompose(spec)
+    bad = replace(d, poles=d.poles[1:])
+    r1 = check_by_substitution(spec, bad, trials=3, seed=11)
+    r2 = check_by_substitution(spec, bad, trials=3, seed=11)
+    assert r1 == r2 and not r1.passed
+    assert list(r1.counterexample.bindings) == ["a", "b"]
 
 
 def test_colliding_roots_never_reach_checker():

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -300,8 +300,13 @@ def _pole_contributions(
     differences keep their own sorted order, and no power is a bare Sum to
     distribute over.  When every root is a Symbol, a_i - a_k =
     a_i + (-1)*a_k sorts as a_k does, so that order comes from one sort of
-    the roots.  Other inputs go through product_of.
+    the roots.  Other inputs go through product_of.  When every root is a
+    Constant, each key comes already summed, as one Constant, and no
+    composition is enumerated (see :func:`_constant_pole_sums`).
     """
+    if all(isinstance(a_k, Constant) for a_k in spec.roots):
+        yield from _constant_pole_sums(spec, degrees, residues_only)
+        return
     roots, mults, n = spec.roots, spec.multiplicities, len(spec.factors)
     top = max(degrees)  # degrees may be a long range
     negated = [-a_k for a_k in roots]
@@ -373,6 +378,39 @@ def _pole_contributions(
                     yield l, i, j_pole + 1, terms, direct
 
 
+def _constant_pole_sums(
+    spec: RationalFunctionSpec, degrees: Sequence[int], residues_only: bool
+) -> Iterator[tuple[int, int, int, list[Expr], bool]]:
+    """The groups of :func:`_pole_contributions` for Constant roots a_k =
+    p_k/q_k, each key summed in ints: (l, i, order) is [t^(m_i - order)] of
+    (a_i + t)^l * prod_{k != i} (a_i - a_k + t)^-(m_k).  With N_k = p_i q_k -
+    p_k q_i, the first m_i terms of N_k^(m_k + m_i - 1) (a_i - a_k + t)^-(m_k)
+    are the ints (-1)^j C(m_k + j - 1, j) N_k^(m_i - 1 - j) (q_i q_k)^(m_k + j).
+    Their product, O(n m_i^2), serves every degree, and q_i^l (a_i + t)^l has
+    the terms C(l, j) p_i^(l - j) q_i^j.  Keys that sum to 0 are left out."""
+    ps = [a_k.value.numerator for a_k in spec.roots]
+    qs = [a_k.value.denominator for a_k in spec.roots]
+    mults = spec.multiplicities
+    for i, (p_i, q_i, m_i) in enumerate(zip(ps, qs, mults)):
+        series, scale = [1] + [0] * (m_i - 1), 1
+        for k, (p_k, q_k, m_k) in enumerate(zip(ps, qs, mults)):
+            if k != i:
+                n_k, q = p_i * q_k - p_k * q_i, q_i * q_k
+                factor = [(-1) ** j * binomial(m_k + j - 1, j) * n_k ** (m_i - 1 - j)
+                          * q ** (m_k + j) for j in range(m_i)]
+                series = [sum(series[d - j] * factor[j] for j in range(d + 1))
+                          for d in range(m_i)]
+                scale *= n_k ** (m_k + m_i - 1)
+        for l in degrees:
+            top = min(l, m_i - 1)
+            power = [binomial(l, j) * p_i ** (l - j) * q_i**j for j in range(top + 1)]
+            for order in range(1, 2 if residues_only else m_i + 1):
+                d = m_i - order
+                total = sum(power[j] * series[d - j] for j in range(min(d, top) + 1))
+                if total:
+                    yield l, i, order, [Constant(Fraction(total, scale * q_i**l))], False
+
+
 def _key_sum(terms: list[Expr], direct: bool) -> Expr:
     """The canonical sum of one key's canonical contributions, as yielded by
     :func:`_pole_contributions`.  A direct pole's contributions are
@@ -397,9 +435,33 @@ def _quotient_contributions(spec: RationalFunctionSpec) -> Iterator[MonomialTerm
     canonical Product directly: its factors are the non-unit powers, of
     pairwise distinct bases, sorted, after the scale when that is not 1.
     Other inputs go through product_of.
+
+    When every root is a Constant p_k/q_k, no composition is enumerated:
+    h_j = [t^j] prod_k (1 - a_k t)^-(m_k) is H_j / Q^j, Q = prod_k q_k, with
+    ints H_j from m_k running sums per root, H_j += p_k (Q/q_k) H_(j-1).
     """
     l, m = spec.numerator_degree, spec.denominator_degree
     roots, mults, n = spec.roots, spec.multiplicities, len(spec.factors)
+    if all(isinstance(a_k, Constant) for a_k in roots):
+        if n == 1:  # h_j = C(m + j - 1, j) a^j, and a's powers need no gcd at h_j's size
+            a, power = roots[0].value, 1
+            for j in range(l - m + 1):
+                if power:
+                    yield MonomialTerm(l - m - j, Constant(binomial(m + j - 1, j) * power))
+                power *= a
+            return
+        Q = prod(a_k.value.denominator for a_k in roots)
+        h = [1] + [0] * (l - m) if l >= m else []
+        for a_k, m_k in zip(roots, mults):
+            c = a_k.value.numerator * (Q // a_k.value.denominator)
+            for _ in range(m_k if c else 0):
+                h = list(accumulate(h, lambda prev, h_j: h_j + c * prev))
+        scale = 1
+        for j, h_j in enumerate(h):
+            if h_j:
+                yield MonomialTerm(l - m - j, Constant(Fraction(h_j, scale)))
+            scale *= Q
+        return
     residue_cost = 2 * (n + 1) * sum(binomial(m_k + n - 2, n - 1) for m_k in mults)
     direct = all(isinstance(a_k, Symbol) for a_k in roots)
     powers = [[] for _ in roots]  # powers[k][c] = a_k^c

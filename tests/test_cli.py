@@ -220,6 +220,16 @@ def test_work_without_bound_ends_in_one_line(in_tmp, capsys):
     assert (in_tmp / "result.out").read_text() == out
 
 
+def test_rational_composition_hole_is_summed_by_series(in_tmp, capsys):
+    # 20 rational roots of multiplicity 20: the composition sum of each pole
+    # has C(39, 20) terms, the truncated series 19 products of 20 terms
+    exponents = ",".join(["0"] + ["20"] * 20)
+    roots = ",".join(str(k) for k in range(1, 21))
+    code, out, err = run_cli(capsys, exponents, roots, "--quiet")
+    assert code == 0 and out == "" and err == ""
+    assert (in_tmp / "result.out").read_text().count("(x - ") == 400
+
+
 @pytest.mark.parametrize("argv, message", [
     (("0,1,1", "(a+1)^100000,b", "--expand"),
      "cannot render the result: a coefficient would expand to more than 500 terms"),

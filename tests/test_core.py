@@ -312,6 +312,13 @@ def _by_degree(monomials):
     return groups
 
 
+def _summed(groups):
+    """Each group as the one-term list of its sum, the groups that sum to 0
+    left out."""
+    sums = {key: expr._make_sum(terms) for key, terms in groups.items()}
+    return {key: [total] for key, total in sums.items() if total != ZERO}
+
+
 def _count(groups):
     """The number of contributions in _pole_contributions' groups."""
     return sum(len(terms) for _, _, _, terms, _ in groups)
@@ -327,19 +334,22 @@ def _count(groups):
 def test_pole_contributions_equal_their_product_of_form(factors, degrees, residues_only):
     # symbols, sums, differences, scaled symbols, rationals and zero, alone
     # or mixed; the distinct degrees make proper and improper numerators
+    # an all-Constant spec yields each key summed, and a key that sums to 0
+    # not at all
     spec = spec_of(0, *((MIXED_ROOTS[r], m) for r, m in factors))
+    summed = _summed if all(isinstance(a_k, Constant) for a_k in spec.roots) else dict
     got = list(core._pole_contributions(spec, degrees, residues_only))
     groups = {(l, i, order): terms for l, i, order, terms, _ in got}
     assert len(groups) == len(got)  # one group per key
-    assert groups == _by_key(_contributions_by_product_of(spec, degrees, residues_only))
+    assert groups == summed(_by_key(_contributions_by_product_of(spec, degrees, residues_only)))
     for _, i, _, _, direct in got:
         a_i = spec.roots[i]
         diffs = [a_i - a_k for a_k in spec.roots if a_k != a_i]
         assert direct == (isinstance(a_i, Symbol) and all(isinstance(d, Sum) for d in diffs))
     for l in degrees:
         spec = spec_of(l, *spec.factors)
-        assert _by_degree(core._quotient_contributions(spec)) == _by_degree(
-            _quotient_by_product_of(spec)
+        assert _by_degree(core._quotient_contributions(spec)) == summed(
+            _by_degree(_quotient_by_product_of(spec))
         )
 
 
@@ -359,6 +369,26 @@ def test_each_pole_coefficient_is_the_make_sum_of_its_contributions(factors, l):
         if total != ZERO:
             want[i, order] = total
     assert {(t.pole_index, t.order): t.coefficient for t in decompose(spec).poles} == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.fractions(-30, 30, max_denominator=8), st.integers(1, 4)),
+             min_size=1, max_size=5, unique_by=lambda pair: pair[0]),
+    st.data(),
+)
+def test_constant_root_sums_equal_the_make_sum_of_their_compositions(factors, data):
+    # distinct rational roots, proper and improper: every pole coefficient
+    # and every quotient coefficient is the merge of its product_of terms
+    m = sum(mult for _, mult in factors)
+    spec = spec_of(data.draw(st.integers(0, 2 * m)), *((Constant(r), k) for r, k in factors))
+    d = decompose(spec)
+    poles = _summed(_by_key(_contributions_by_product_of(spec, [spec.numerator_degree], False)))
+    assert {(0, t.pole_index, t.order): [t.coefficient] for t in d.poles} == {
+        (0, i, order): terms for (_, i, order), terms in poles.items()
+    }
+    quotient = _summed(_by_degree(_quotient_by_product_of(spec)))
+    assert {t.degree: [t.coefficient] for t in d.monomials} == quotient
 
 
 def test_pole_orders_bounded_by_multiplicity():
@@ -796,6 +826,34 @@ def test_symbol_root_quotient_terms_are_built_without_product_of(monkeypatch):
     # all 18 quotient coefficients take the expanded form: C(20, 3) terms
     assert len(list(core._quotient_contributions(spec))) == binomial(20, 3) == 1140
     assert calls == []
+
+
+def test_constant_roots_are_summed_without_compositions_or_product_of(monkeypatch):
+    factors = tuple((Constant(Fraction(k, 3)), 4) for k in range(1, 13))  # 12 roots, m = 48
+    proper, improper = spec_of(30, *factors), spec_of(60, *factors)
+    members = [spec_of(l, *factors) for l in (0, 7, 47, 48, 60)]
+    members += [spec_of(l, *factors[::-1]) for l in (7, 52)]
+    calls = []
+    for module, name in ((expr, "_make_product"), (core, "compositions")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, real=real: calls.append(name)
+                            or real(*args))
+    real_new = expr.Power.__new__
+    monkeypatch.setattr(expr.Power, "__new__", lambda *args: calls.append("Power")
+                        or real_new(*args))
+    d = decompose(proper)
+    assert len(d.poles) == 48 and not d.monomials
+    d = decompose(improper)
+    assert len(d.monomials) == 13
+    assert calls == []
+    # a batch multiplies each term of each member by its weight, and makes
+    # no other product
+    shared = core._decompose_shared(members)
+    assert calls == []
+    decompose_batch([(Symbol(f"w{k}"), spec) for k, spec in enumerate(members)])
+    assert calls == ["_make_product"] * sum(
+        len(d.poles) + len(d.monomials) for d in shared.values()
+    )
 
 
 def test_batch_enumerates_a_shared_denominator_once(monkeypatch):

@@ -9,7 +9,8 @@ quotient of an improper input is another such sum.  No symbolic
 differentiation or polynomial division is ever performed.  The pole sum
 is summed per (pole, order) key where it is enumerated, once per shared
 denominator; the quotient's raw terms, and the weighted terms of a batch,
-are merged by :func:`collect`.
+are merged by :func:`collect`.  When every root is a Constant, the same sums
+come from truncated series in ints, each key already summed.
 
 Roots are validated by evaluation mod a prime, never by expansion (see
 :class:`RationalFunctionSpec`).  A spec that is accepted has pairwise
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations
-from math import prod
+from math import lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import binomial, compositions
@@ -267,7 +268,8 @@ def proper_contributions(spec: RationalFunctionSpec) -> Iterator[tuple[int, int,
         * prod_{k != i} C(m_k + j_k - 1, j_k) * (-1)^(j_k) * (a_i - a_k)^-(m_k + j_k)
 
     on the pole of order j_pole + 1 at a_i.  Compositions with j_num > l are
-    pruned: their binomial factor is zero.
+    pruned: their binomial factor is zero.  When every root is a Constant,
+    each key's contributions come already summed, as one.
     """
     _require_proper(spec)
     return (
@@ -437,7 +439,7 @@ def _quotient_contributions(spec: RationalFunctionSpec) -> Iterator[MonomialTerm
     Other inputs go through product_of.
 
     When every root is a Constant p_k/q_k, no composition is enumerated:
-    h_j = [t^j] prod_k (1 - a_k t)^-(m_k) is H_j / Q^j, Q = prod_k q_k, with
+    h_j = [t^j] prod_k (1 - a_k t)^-(m_k) is H_j / Q^j, Q = lcm_k q_k, with
     ints H_j from m_k running sums per root, H_j += p_k (Q/q_k) H_(j-1).
     """
     l, m = spec.numerator_degree, spec.denominator_degree
@@ -450,7 +452,7 @@ def _quotient_contributions(spec: RationalFunctionSpec) -> Iterator[MonomialTerm
                     yield MonomialTerm(l - m - j, Constant(binomial(m + j - 1, j) * power))
                 power *= a
             return
-        Q = prod(a_k.value.denominator for a_k in roots)
+        Q = lcm(*(a_k.value.denominator for a_k in roots))
         h = [1] + [0] * (l - m) if l >= m else []
         for a_k, m_k in zip(roots, mults):
             c = a_k.value.numerator * (Q // a_k.value.denominator)

@@ -384,8 +384,8 @@ def test_constant_root_sums_equal_the_make_sum_of_their_compositions(factors, da
     spec = spec_of(data.draw(st.integers(0, 2 * m)), *((Constant(r), k) for r, k in factors))
     d = decompose(spec)
     poles = _summed(_by_key(_contributions_by_product_of(spec, [spec.numerator_degree], False)))
-    assert {(0, t.pole_index, t.order): [t.coefficient] for t in d.poles} == {
-        (0, i, order): terms for (_, i, order), terms in poles.items()
+    assert {(t.pole_index, t.order): [t.coefficient] for t in d.poles} == {
+        (i, order): terms for (_, i, order), terms in poles.items()
     }
     quotient = _summed(_by_degree(_quotient_by_product_of(spec)))
     assert {t.degree: [t.coefficient] for t in d.monomials} == quotient
@@ -852,7 +852,7 @@ def test_constant_roots_are_summed_without_compositions_or_product_of(monkeypatc
     assert calls == []
     decompose_batch([(Symbol(f"w{k}"), spec) for k, spec in enumerate(members)])
     assert calls == ["_make_product"] * sum(
-        len(d.poles) + len(d.monomials) for d in shared.values()
+        len(member.poles) + len(member.monomials) for member in shared.values()
     )
 
 

@@ -8,8 +8,8 @@ import os
 import re
 import shutil
 import sys
+from collections.abc import Sequence
 from types import SimpleNamespace
-from typing import Sequence
 
 from .core import RationalFunctionSpec, decompose
 from .expr import Constant

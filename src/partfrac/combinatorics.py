@@ -8,10 +8,10 @@ multinomial coefficients, and enumeration of weak compositions.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from itertools import combinations_with_replacement
 from math import comb, factorial
 from operator import index, sub
-from typing import Iterator, Sequence
 
 __all__ = ["binomial", "multinomial", "compositions"]
 

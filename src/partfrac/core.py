@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations
 from math import lcm, prod
-from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import binomial, compositions
 from .expr import ONE, ZERO, Constant, Expr, Power, Product, Sum, Symbol, product_of
@@ -101,14 +101,42 @@ def _seed_text(node) -> str:
     return node
 
 
-@dataclass(frozen=True)
-class RationalFunctionSpec:
+def _check_roots(factors: tuple[tuple[Expr, int], ...]) -> None:
+    """Refuse a root that is undefined or two roots that are equal, by the
+    trials described in :class:`RationalFunctionSpec`."""
+    roots = [root for root, _ in factors]
+    rng = random.Random(_seed_text(factors))
+    undefined = set(range(len(roots)))  # roots that divided by zero in every trial
+    tied = None  # pairs that no trial told apart
+    for trial in range(1 + _EXTRA_TRIALS):
+        p = _random_prime(rng) if trial else _MERSENNE_61
+        value = _evaluator(_RandomBindings(rng, p), modulus=p)
+        vals = []
+        for root in roots:
+            try:
+                vals.append(value(root))
+            except ZeroDivisionError:
+                vals.append(None)
+        if tied is None:
+            if None not in vals and len(set(vals)) == len(vals):
+                return
+            tied = combinations(range(len(roots)), 2)
+        undefined = {i for i in undefined if vals[i] is None}
+        tied = [(i, k) for i, k in tied if None in (vals[i], vals[k]) or vals[i] == vals[k]]
+        if not undefined and not tied:
+            return
+    if undefined:
+        raise ValueError(f"root {min(undefined) + 1} is undefined: it divides by zero")
+    raise DuplicateRootError(*tied[0], roots[tied[0][0]])
+
+
+class RationalFunctionSpec(namedtuple("RationalFunctionSpec", "numerator_degree factors")):
     """The input x^l * prod_k (x - root_k)^(-mult_k).
 
-    ``factors`` is an ordered sequence of (root, multiplicity) pairs.  Roots
-    must be canonical, free of x, defined, and pairwise distinct as rational
-    functions of their symbols; the result may have at most
-    ``MAX_OUTPUT_TERMS`` terms.
+    ``numerator_degree`` is l.  ``factors`` is an ordered sequence of (root,
+    multiplicity) pairs, stored as a tuple.  Roots must be canonical, free
+    of x, defined, and pairwise distinct as rational functions of their
+    symbols; the result may have at most ``MAX_OUTPUT_TERMS`` terms.
 
     Roots are evaluated mod 2^61 - 1 at symbol values drawn from an RNG
     seeded by the factors, then, only if some root divided by zero or two
@@ -121,15 +149,12 @@ class RationalFunctionSpec:
     that difference with its denominators cleared (Schwartz-Zippel).
     """
 
-    numerator_degree: int
-    factors: tuple[tuple[Expr, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, numerator_degree: int, factors: Iterable[tuple[Expr, int]]):
         # operator.index refuses floats and other non-integral numbers
-        object.__setattr__(self, "numerator_degree", operator.index(self.numerator_degree))
-        object.__setattr__(
-            self, "factors", tuple((root, operator.index(mult)) for root, mult in self.factors)
-        )
+        factors = tuple((root, operator.index(mult)) for root, mult in factors)
+        self = super().__new__(cls, operator.index(numerator_degree), factors)
         if self.numerator_degree < 0:
             raise ValueError(f"numerator degree must be >= 0, got {self.numerator_degree}")
         if not self.factors:
@@ -143,33 +168,13 @@ class RationalFunctionSpec:
         terms = max(self.numerator_degree - m + 1, 0) + m
         if terms > MAX_OUTPUT_TERMS:
             raise ValueError(f"the result could have {terms} terms, more than {MAX_OUTPUT_TERMS}")
-        roots = self.roots
-        for idx, root in enumerate(roots, start=1):
+        for idx, root in enumerate(self.roots, start=1):
             if VARIABLE in symbols_in(root):
                 raise ValueError(f"root {idx} contains the decomposition variable '{VARIABLE}'")
-        rng = random.Random(_seed_text(self.factors))
-        undefined = set(range(len(roots)))  # roots that divided by zero in every trial
-        tied = None  # pairs that no trial told apart
-        for trial in range(1 + _EXTRA_TRIALS):
-            p = _random_prime(rng) if trial else _MERSENNE_61
-            value = _evaluator(_RandomBindings(rng, p), modulus=p)
-            vals = []
-            for root in roots:
-                try:
-                    vals.append(value(root))
-                except ZeroDivisionError:
-                    vals.append(None)
-            if tied is None:
-                if None not in vals and len(set(vals)) == len(vals):
-                    return
-                tied = combinations(range(len(roots)), 2)
-            undefined = {i for i in undefined if vals[i] is None}
-            tied = [(i, k) for i, k in tied if None in (vals[i], vals[k]) or vals[i] == vals[k]]
-            if not undefined and not tied:
-                return
-        if undefined:
-            raise ValueError(f"root {min(undefined) + 1} is undefined: it divides by zero")
-        raise DuplicateRootError(*tied[0], roots[tied[0][0]])
+        _check_roots(self.factors)
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     @property
     def roots(self) -> tuple[Expr, ...]:
@@ -213,39 +218,33 @@ def _expanded_terms(e: Expr) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class PoleTerm:
-    """coefficient / (x - roots[pole_index])^order"""
+class PoleTerm(namedtuple("PoleTerm", "pole_index order coefficient")):
+    """coefficient / (x - roots[pole_index])^order, pole_index 0-based into
+    the owning Decomposition's roots"""
 
-    pole_index: int  # 0-based index into the owning Decomposition's roots
-    order: int
-    coefficient: Expr
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MonomialTerm:
+class MonomialTerm(namedtuple("MonomialTerm", "degree coefficient")):
     """coefficient * x^degree"""
 
-    degree: int
-    coefficient: Expr
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """An ordered sum of monomial and pole terms.
+class Decomposition(namedtuple("Decomposition", "roots monomials poles")):
+    """An ordered sum of monomial and pole terms, each field a tuple.
 
     ``monomials`` is sorted by ascending degree, ``poles`` by
     (pole_index, order); after collection each key appears at most once and
     no coefficient is structurally zero.
     """
 
-    roots: tuple[Expr, ...]
-    monomials: tuple[MonomialTerm, ...]
-    poles: tuple[PoleTerm, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for field in ("roots", "monomials", "poles"):
-            object.__setattr__(self, field, tuple(getattr(self, field)))
+    def __new__(cls, roots, monomials, poles):
+        return super().__new__(cls, tuple(roots), tuple(monomials), tuple(poles))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace makes tuples
 
 
 def _require_proper(spec: RationalFunctionSpec) -> None:
@@ -551,12 +550,19 @@ def decompose_batch(
     equals 0 in value may stay, nonzero-looking: weights a + b and -a - b
     on one input leave one, because a product of sums has more than one
     canonical form (see "One canonical form per value of a product" in
-    ROADMAP.md).  Every weight is checked before any work: one that is not
-    an Expr, int or Fraction is refused with TypeError, and one that
-    involves the decomposition variable with ValueError.
+    ROADMAP.md).  Every term is checked before any work: one that is not a
+    (weight, spec) pair, or whose weight is not an Expr, int or Fraction, is
+    refused with TypeError, and a weight that involves the decomposition
+    variable with ValueError.
     """
     terms = list(terms)
-    for idx, (weight, _) in enumerate(terms, start=1):
+    for idx, term in enumerate(terms, start=1):
+        try:  # a spec is itself a pair, (numerator_degree, factors)
+            weight, spec = term
+        except (TypeError, ValueError):
+            spec = None
+        if not hasattr(spec, "factors"):
+            raise TypeError(f"term {idx} must be a (weight, spec) pair, got {type(term).__name__}")
         if not isinstance(weight, (Expr, int, Fraction)):
             raise TypeError(
                 f"the weight of term {idx} must be an Expr, int or Fraction, "

@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import random
 import re
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from operator import is_, itemgetter
-from typing import Callable, Iterable, Mapping, Union
 
 from .combinatorics import compositions, multinomial
 
-Numeric = Union[int, Fraction]
+Numeric = int | Fraction
 
 # A Symbol name; the parser reads identifiers with the same pattern, so every
 # rendered expression parses back.

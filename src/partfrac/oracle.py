@@ -21,10 +21,10 @@ Two deliberately separate checks:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Mapping, Sequence
 
 from .core import Decomposition, PoleTerm, RationalFunctionSpec
 from .expr import Constant, Expr, Numeric, _evaluator, _random_prime, _RandomBindings
@@ -193,16 +193,11 @@ def _decomposition_value(
     return total % p if p else total
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    """A point where the two sides differ mod ``modulus``: every binding, x
-    and both values are ints in [0, modulus)."""
+class Counterexample(namedtuple("Counterexample", "bindings x original decomposed modulus")):
+    """A point where the two sides differ mod ``modulus``: ``bindings`` maps
+    names to values, and every value, x and both sides are ints in [0, modulus)."""
 
-    bindings: dict[str, int]
-    x: int
-    original: int
-    decomposed: int
-    modulus: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return (
@@ -211,11 +206,10 @@ class Counterexample:
         )
 
 
-@dataclass(frozen=True)
-class SubstitutionReport:
-    trials: int
-    points_checked: int
-    counterexample: Counterexample | None
+class SubstitutionReport(namedtuple("SubstitutionReport", "trials points_checked counterexample")):
+    """The outcome of :func:`check_by_substitution`; ``counterexample`` is None on a pass."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -29,8 +29,9 @@ resident memory stays bounded by the buffer plus the largest single term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Iterator
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
+from io import BufferedIOBase
 
 from .core import VARIABLE, Decomposition, MonomialTerm, PoleTerm, _expanded_terms, collect
 from .expr import Constant, Expr, Numeric, Power, Product, Sum, Symbol, expand
@@ -47,14 +48,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OutputFormat:
-    mode: str = "infix"  # "infix" or "structured"
-    expand_coefficients: bool = False
+class OutputFormat(namedtuple("OutputFormat", "mode expand_coefficients")):
+    """``mode`` is "infix" or "structured"."""
 
-    def __post_init__(self):
-        if self.mode not in ("infix", "structured"):
-            raise ValueError(f"unknown output mode {self.mode!r}")
+    __slots__ = ()
+
+    def __new__(cls, mode: str = "infix", expand_coefficients: bool = False):
+        if mode not in ("infix", "structured"):
+            raise ValueError(f"unknown output mode {mode!r}")
+        return super().__new__(cls, mode, expand_coefficients)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
 
 # --- infix rendering ---------------------------------------------------------
@@ -200,7 +204,6 @@ class StreamWriteError(OSError):
         self.bytes_written = bytes_written
 
 
-@dataclass
 class StreamBuffer:
     """Fixed-capacity byte accumulator with occupancy statistics.
 
@@ -208,18 +211,17 @@ class StreamBuffer:
     memory-discipline tests audit against the capacity.
     """
 
-    capacity: int = 65536
-    pending: bytearray = field(default_factory=bytearray, init=False)
-    peak_pending: int = field(default=0, init=False)
-    flush_count: int = field(default=0, init=False)
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError(f"buffer capacity must be >= 1, got {self.capacity}")
+    def __init__(self, capacity: int = 65536):
+        if capacity < 1:
+            raise ValueError(f"buffer capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self.pending = bytearray()
+        self.peak_pending = 0
+        self.flush_count = 0
 
 
 def write_streaming(
-    chunks: Iterable[str], sink: BinaryIO, buffer: StreamBuffer | None = None
+    chunks: Iterable[str], sink: BufferedIOBase, buffer: StreamBuffer | None = None
 ) -> int:
     """Write term chunks through a fixed-size buffer; returns bytes written.
 
@@ -256,7 +258,7 @@ def write_streaming(
 
 def write_decomposition(
     d: Decomposition,
-    sink: BinaryIO,
+    sink: BufferedIOBase,
     fmt: OutputFormat = OutputFormat(),
     buffer: StreamBuffer | None = None,
 ) -> int:

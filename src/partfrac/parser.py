@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .expr import _MINUS_ONE, IDENTIFIER, Constant, Expr, Product, Symbol, product_of
 
@@ -49,12 +49,10 @@ def _refuse_long_power(base: Expr, n: int, span: SourceSpan) -> None:
             raise ParseError(f"constant power has more than {limit} digits", span)
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(namedtuple("SourceSpan", "start end")):
     """Half-open byte range [start, end) into the source string."""
 
-    start: int
-    end: int
+    __slots__ = ()
 
 
 class ParseError(ValueError):
@@ -74,11 +72,10 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int" | "ident" | one of "+-*/^()," | "end"
-    text: str
-    span: SourceSpan
+class _Token(namedtuple("_Token", "kind text span")):
+    """``kind`` is "int", "ident", "end" or one of "+-*/^(),"."""
+
+    __slots__ = ()
 
 
 def _tokenize(src: str) -> list[_Token]:

@@ -419,3 +419,20 @@ def test_module_entry_point(in_tmp):
     assert proc.returncode == 0
     assert proc.stdout == "(p - q)^(-1)*(x - p)^(-1) + (q - p)^(-1)*(x - q)^(-1)\n"
     assert (in_tmp / "result.out").read_text() == proc.stdout
+
+
+def test_import_loads_no_typing_or_dataclasses(in_tmp):
+    # each CLI call pays for its imports; these took a third of import partfrac.cli
+    code = (
+        "import partfrac.cli, sys\n"
+        "print(sorted({'typing', 'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=in_tmp,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

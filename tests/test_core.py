@@ -642,6 +642,10 @@ def test_batch_checks_every_weight_before_any_work(monkeypatch):
             decompose_batch([(ONE, spec), (2, spec), (weight, spec)])
     with pytest.raises(ValueError, match="weight of term 2 contains"):
         decompose_batch([(ONE, spec), (Symbol("x"), spec), (1.5, spec)])
+    # a spec is itself a pair, (numerator_degree, factors), so each term's shape is checked
+    for term in (spec, (1, (1, ((a, 1),))), (ONE, spec, ONE), (spec,), None, "ab"):
+        with pytest.raises(TypeError, match=r"term 2 must be a \(weight, spec\) pair"):
+            decompose_batch([(ONE, spec), term])
     assert calls == []
     assert decompose_batch([(2, spec), (Fraction(1, 2), spec)]) == decompose_batch(
         [(Constant(Fraction(5, 2)), spec)]

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -240,7 +239,7 @@ def test_substitution_check_catches_perturbed_coefficient():
     assert "FAILED" in str(report)
     # a symbol that occurs only in a coefficient is bound too
     spec = RationalFunctionSpec(0, ((a, 1),))
-    bad = replace(decompose(spec), poles=(PoleTerm(0, 1, c),))
+    bad = decompose(spec)._replace(poles=(PoleTerm(0, 1, c),))
     report = check_by_substitution(spec, bad, trials=20, seed=7)
     assert not report.passed and set(report.counterexample.bindings) == {"a", "c"}
 
@@ -249,7 +248,7 @@ def test_substitution_check_refuses_to_check_nothing():
     # zero trials or zero points would pass a wrong decomposition unchecked
     spec = RationalFunctionSpec(1, ((a, 2), (b, 1)))
     d = decompose(spec)
-    bad = replace(d, poles=d.poles[1:])
+    bad = d._replace(poles=d.poles[1:])
     for trials in (0, -1):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             check_by_substitution(spec, bad, trials=trials)
@@ -267,7 +266,7 @@ def test_substitution_check_is_deterministic_per_seed():
     # evaluation meets b first; the counterexample lists the bindings by name
     spec = RationalFunctionSpec(0, ((b, 1), (a, 2)))
     d = decompose(spec)
-    bad = replace(d, poles=d.poles[1:])
+    bad = d._replace(poles=d.poles[1:])
     r1 = check_by_substitution(spec, bad, trials=3, seed=11)
     r2 = check_by_substitution(spec, bad, trials=3, seed=11)
     assert r1 == r2 and not r1.passed
@@ -282,7 +281,7 @@ def test_colliding_roots_never_reach_checker():
 
 def _plus_one(term):
     """``term`` with 1 added to its coefficient."""
-    return replace(term, coefficient=term.coefficient + 1)
+    return term._replace(coefficient=term.coefficient + 1)
 
 
 def test_substitution_catches_a_mutated_coefficient_in_one_trial():
@@ -296,7 +295,7 @@ def test_substitution_catches_a_mutated_coefficient_in_one_trial():
         d = decompose(spec)
         terms = getattr(d, side)
         for k in (0, len(terms) // 2, len(terms) - 1):
-            mutated = replace(d, **{side: terms[:k] + (_plus_one(terms[k]),) + terms[k + 1 :]})
+            mutated = d._replace(**{side: terms[:k] + (_plus_one(terms[k]),) + terms[k + 1 :]})
             for seed in range(3):
                 report = check_by_substitution(spec, mutated, trials=1, seed=seed)
                 assert not report.passed and report.points_checked == 1, (spec, side, k)
@@ -312,7 +311,7 @@ def test_substitution_passes_roots_that_differ_by_a_multiple_of_a_mersenne_prime
 def test_counterexample_names_the_prime():
     spec = RationalFunctionSpec(0, ((a, 1), (b, 2)))
     d = decompose(spec)
-    ce = check_by_substitution(spec, replace(d, poles=d.poles[1:]), trials=1).counterexample
+    ce = check_by_substitution(spec, d._replace(poles=d.poles[1:]), trials=1).counterexample
     assert 1 << 61 <= ce.modulus and f"mod p={ce.modulus}" in str(ce)
     for v in (ce.x, ce.original, ce.decomposed, *ce.bindings.values()):
         assert type(v) is int and 0 <= v < ce.modulus

@@ -51,7 +51,9 @@ def compositions(m: int, k: int) -> Iterator[tuple[int, ...]]:
     [0, m] places bar i after c[i] of the m stars, and the parts are the
     stars between consecutive bars, c[i] - c[i-1].  The tuples c come from
     ``combinations_with_replacement`` in lexicographic order, so the
-    compositions do too.  Arguments are checked at call time.
+    compositions do too.  One part is just (m,): the pool of
+    ``combinations_with_replacement`` would cost O(m) to build for the one
+    empty tuple.  Arguments are checked at call time.
     """
     m, k = index(m), index(k)
     if m < 0:
@@ -59,6 +61,8 @@ def compositions(m: int, k: int) -> Iterator[tuple[int, ...]]:
     if k < 1:
         raise ValueError(f"compositions requires k >= 1, got k={k}")
     last = (m,)
+    if k == 1:
+        return iter((last,))
     return (
         tuple(map(sub, c + last, (0,) + c))
         for c in combinations_with_replacement(range(m + 1), k - 1)

@@ -194,14 +194,22 @@ def _decomposition_value(
 
 
 class Counterexample(namedtuple("Counterexample", "bindings x original decomposed modulus")):
-    """A point where the two sides differ mod ``modulus``: ``bindings`` maps
-    names to values, and every value, x and both sides are ints in [0, modulus)."""
+    """A point where the two sides differ mod ``modulus``: ``bindings`` is
+    the sorted tuple of (name, value) pairs, given as a mapping or as pairs,
+    and every value, x and both sides are ints in [0, modulus)."""
 
     __slots__ = ()
 
+    def __new__(cls, bindings, x: int, original: int, decomposed: int, modulus: int):
+        return super().__new__(
+            cls, tuple(sorted(dict(bindings).items())), x, original, decomposed, modulus
+        )
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace normalizes
+
     def __str__(self) -> str:
         return (
-            f"x={self.x} with bindings {self.bindings} mod p={self.modulus}: "
+            f"x={self.x} with bindings {dict(self.bindings)} mod p={self.modulus}: "
             f"original={self.original} decomposed={self.decomposed}"
         )
 
@@ -279,7 +287,6 @@ def check_by_substitution(
             decomposed = _decomposition_value(monomials, poles, x, p)
             checked += 1
             if original != decomposed:
-                bindings = dict(sorted(bindings.items()))
                 return SubstitutionReport(
                     trials, checked, Counterexample(bindings, x, original, decomposed, p)
                 )

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,15 @@ def test_multinomial_contract_violations():
 def test_compositions_trivial():
     assert list(compositions(0, 3)) == [(0, 0, 0)]
     assert list(compositions(2, 1)) == [(2,)]
+    # one part costs O(1): combinations_with_replacement would copy its
+    # whole pool of m + 1 numbers before it yields the one empty tuple
+    tracemalloc.start()
+    try:
+        assert list(compositions(10**5, 1)) == [(10**5,)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
 
 
 def test_compositions_explicit_enumeration():

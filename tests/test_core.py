@@ -2,9 +2,10 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from partfrac import (
@@ -375,13 +376,18 @@ def test_each_pole_coefficient_is_the_make_sum_of_its_contributions(factors, l):
 @given(
     st.lists(st.tuples(st.fractions(-30, 30, max_denominator=8), st.integers(1, 4)),
              min_size=1, max_size=5, unique_by=lambda pair: pair[0]),
-    st.data(),
+    st.integers(0, 40),
 )
-def test_constant_root_sums_equal_the_make_sum_of_their_compositions(factors, data):
-    # distinct rational roots, proper and improper: every pole coefficient
-    # and every quotient coefficient is the merge of its product_of terms
+@example([(Fraction(0), 1), (Fraction(1), 12)], 0)
+@example([(Fraction(0), 1), (Fraction(1), 12)], 26)
+@example([(Fraction(1), 12), (Fraction(0), 1)], 17)
+@example([(Fraction(0), 3), (Fraction(-2, 3), 2), (Fraction(5, 7), 1)], 9)
+def test_constant_root_sums_equal_the_make_sum_of_their_compositions(factors, l):
+    # distinct rational roots, proper and improper (l in [0, 2m]): every pole
+    # coefficient and every quotient coefficient is the merge of its
+    # product_of terms; the examples have skewed multiplicities and a root 0
     m = sum(mult for _, mult in factors)
-    spec = spec_of(data.draw(st.integers(0, 2 * m)), *((Constant(r), k) for r, k in factors))
+    spec = spec_of(l % (2 * m + 1), *((Constant(r), k) for r, k in factors))
     d = decompose(spec)
     poles = _summed(_by_key(_contributions_by_product_of(spec, [spec.numerator_degree], False)))
     assert {(t.pole_index, t.order): [t.coefficient] for t in d.poles} == {
@@ -389,6 +395,53 @@ def test_constant_root_sums_equal_the_make_sum_of_their_compositions(factors, da
     }
     quotient = _summed(_by_degree(_quotient_by_product_of(spec)))
     assert {t.degree: [t.coefficient] for t in d.monomials} == quotient
+
+
+def _naive_series(cs, mults, count):
+    """[t^j] prod_k (1 - c_k t)^-(m_k), j < count, as Fractions: the Cauchy
+    product of the binomial series sum_j C(m_k + j - 1, j) c_k^j t^j."""
+    series = [Fraction(int(j == 0)) for j in range(count)]
+    for c_k, m_k in zip(cs, mults):
+        factor = [binomial(m_k + j - 1, j) * c_k**j for j in range(count)]
+        series = [sum(series[d - j] * factor[j] for j in range(d + 1)) for d in range(count)]
+    return series
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-20, 20), st.integers(-9, 9).filter(bool),
+                       st.integers(1, 4)), max_size=4),
+    st.integers(-3, 12),
+)
+@example([(0, 1, 3), (-5, 2, 1)], 6)
+@example([(3, -4, 2), (-1, 6, 1), (7, 1, 1)], 0)
+@example([], 4)
+def test_series_is_the_cauchy_product_of_binomial_series(factors, count):
+    # c_k = r_k/s_k, zero and negative included, s_k of either sign
+    cs = [(r, s) for r, s, _ in factors]
+    mults = [m for _, _, m in factors]
+    Q, h = core._series(cs, mults, count)
+    assert Q == lcm(*(s for _, s in cs))
+    naive = _naive_series([Fraction(r, s) for r, s in cs], mults, count)
+    assert h == [Q**j * h_j for j, h_j in enumerate(naive)]
+    assert all(type(h_j) is int for h_j in h)
+
+
+def test_one_series_routine_serves_constant_poles_and_quotients(monkeypatch):
+    calls = []
+    real = core._series
+    monkeypatch.setattr(core, "_series", lambda *args: calls.append(args[2]) or real(*args))
+    third = Constant(Fraction(1, 3))
+    # one call per pole, for every degree of the batch, and one per quotient
+    decompose(spec_of(9, (third, 2), (Constant(-2), 3)))
+    assert calls == [2, 3, 5]
+    # a single root's quotient keeps the powers of its root
+    calls.clear()
+    decompose(spec_of(40, (Constant(Fraction(-7, 6)), 3)))
+    assert calls == [3]
+    calls.clear()
+    assert len(list(core._quotient_contributions(spec_of(40, (third, 3))))) == 38
+    assert calls == []
 
 
 def test_pole_orders_bounded_by_multiplicity():

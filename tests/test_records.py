@@ -32,7 +32,7 @@ RECORDS = [
     (MonomialTerm, dict(degree=1, coefficient=Constant(Fraction(-2, 5)))),
     (Decomposition,
      dict(roots=(a, b), monomials=(MonomialTerm(0, a),), poles=(PoleTerm(1, 2, b),))),
-    (Counterexample, dict(bindings={"a": 3}, x=5, original=1, decomposed=2, modulus=7)),
+    (Counterexample, dict(bindings=(("a", 3),), x=5, original=1, decomposed=2, modulus=7)),
     (SubstitutionReport, dict(trials=2, points_checked=2, counterexample=None)),
     (OutputFormat, dict(mode="structured", expand_coefficients=True)),
     (SourceSpan, dict(start=1, end=4)),
@@ -52,8 +52,7 @@ def test_records_are_immutable_values(cls, fields):
         r.extra = 1
     again = cls(**fields)
     assert again == r and again is not r
-    if cls is not Counterexample:  # its bindings are a dict
-        assert hash(again) == hash(r)
+    assert hash(again) == hash(r)
     for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r), r._replace()):
         assert type(twin) is cls and twin == r
 
@@ -67,5 +66,9 @@ def test_replace_validates_as_the_constructor_does():
     assert spec._replace(factors=[(b, 2)]).factors == ((b, 2),)
     with pytest.raises(ValueError, match="unknown output mode 'yaml'"):
         OutputFormat()._replace(mode="yaml")
+    ce = Counterexample({"b": 2, "a": 1}, x=5, original=1, decomposed=2, modulus=7)
+    assert ce.bindings == (("a", 1), ("b", 2)) and hash(ce) == hash(ce._replace())
+    assert ce._replace(bindings={"c": 4}).bindings == (("c", 4),)
+    assert str(ce).startswith("x=5 with bindings {'a': 1, 'b': 2} mod p=7")
     d = Decomposition((a,), (), ())._replace(poles=[PoleTerm(0, 1, ONE)])
     assert d.poles == (PoleTerm(0, 1, ONE),) and type(d.poles) is tuple

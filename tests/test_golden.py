@@ -80,6 +80,21 @@ def _bench_scale():
     return [decompose(roots23_spec()), decompose(simple40), decompose_batch(batch)]
 
 
+def _deep_quotient():
+    """Quotients 60 degrees deep, where h_j takes the residue form: three
+    simple Symbol roots, a, b, c at multiplicities 5, 7, 11, and a, 2*b,
+    c + 1 at multiplicities 2, 1, 3, each at l - m = 60, and one batch over
+    the three."""
+    a, b, c = map(Symbol, "abc")
+    specs = [
+        RationalFunctionSpec(63, ((a, 1), (b, 1), (c, 1))),
+        RationalFunctionSpec(83, ((a, 5), (b, 7), (c, 11))),
+        RationalFunctionSpec(66, ((a, 2), (2 * b, 1), (c + 1, 3))),
+    ]
+    batch = decompose_batch(zip((1, Symbol("w"), Fraction(-2, 3)), specs))
+    return [*map(decompose, specs), batch]
+
+
 CLASSES = {
     "rational_proper": lambda: map(
         decompose, _specs(random_rational_spec, 101, 60, numerator="proper")
@@ -97,6 +112,7 @@ CLASSES = {
     "rational_batch": lambda: _rational_batches(107, 30),
     "mixed": lambda: map(decompose, _specs(random_mixed_spec, 106, 40)),
     "bench_scale": _bench_scale,
+    "deep_quotient": _deep_quotient,
 }
 
 GOLDEN = {
@@ -108,6 +124,7 @@ GOLDEN = {
     "rational_batch": "0382819aeeb38c637201811c8c2919fbd7d70d17df97ffb4149cf4503c1f8cdc",
     "mixed": "c8cb157430c67abc9272d0a9c650758fd4474c87ababb2a8b2aba4783304ee45",
     "bench_scale": "2b15ece86bccd3da58d8b52d0c64d2541e45b3c4f2607c4f27201ff9aed7748c",
+    "deep_quotient": "e66f0d667cd55d3e21aedc198f1ef1c7ad0858a51820a0f2e886ef9949a4a2bc",
 }
 
 

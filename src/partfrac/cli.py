@@ -64,6 +64,8 @@ _TAKES_VALUE = {
 def _option_value(name: str, value: str):
     if name == "--format" and value not in ("infix", "structured"):
         raise ValueError(f"--format must be infix or structured, not {value!r}")
+    if name == "--output" and not value:
+        raise ValueError("--output needs a file name, not ''")
     if name == "--verify":
         try:
             value = int(value)

@@ -6,11 +6,11 @@ the decomposition variable.  One closed formula covers every input: the
 pole terms come from the residue formula with its derivatives expanded into
 a sum over weak compositions weighted by binomial coefficients, and the
 quotient of an improper input is another such sum.  No symbolic
-differentiation or polynomial division is ever performed.  The pole sum
-is summed per (pole, order) key where it is enumerated, once per shared
-denominator; the quotient's raw terms, and the weighted terms of a batch,
-are merged by :func:`collect`.  When every root is a Constant, the pole keys
-and the quotient come summed, from one truncated series in ints.
+differentiation or polynomial division is ever performed.  Each coefficient
+is summed where it is made, a (pole, order) key over its own composition
+stream, shared by every degree, and a quotient degree over its terms or
+residues; :func:`collect` merges only a batch's weighted inputs.  When every
+root is a Constant, the keys come summed from one truncated series in ints.
 
 Roots are validated by evaluation mod a prime, never by expansion (see
 :class:`RationalFunctionSpec`).  A spec that is accepted has pairwise
@@ -257,53 +257,45 @@ def _require_proper(spec: RationalFunctionSpec) -> None:
 
 
 def proper_contributions(spec: RationalFunctionSpec) -> Iterator[tuple[int, int, Expr]]:
-    """Yield the raw (pole_index, order, coefficient) contributions of the
-    closed formula for a proper input, one per surviving composition.
+    """Yield (pole_index, order, coefficient) for a proper input: one
+    canonical coefficient per key, the keys that sum to 0 left out.
 
-    For factor i the enumeration runs over all weak compositions
-    (j_num, j_pole, j_1, ..., j_{i-1}, j_{i+1}, ..., j_n) of m_i - 1 into
-    n + 1 parts.  Each one contributes
+    The coefficient of 1/(x - a_i)^order sums over the weak compositions
+    (j_num, j_1, ..., j_{i-1}, j_{i+1}, ..., j_n) of m_i - order into n parts
 
         C(l, j_num) * a_i^(l - j_num)
-        * prod_{k != i} C(m_k + j_k - 1, j_k) * (-1)^(j_k) * (a_i - a_k)^-(m_k + j_k)
+        * prod_{k != i} C(m_k + j_k - 1, j_k) * (-1)^(j_k) * (a_i - a_k)^-(m_k + j_k).
 
-    on the pole of order j_pole + 1 at a_i.  Compositions with j_num > l are
-    pruned: their binomial factor is zero.  When every root is a Constant,
-    each key's contributions come already summed, as one.
+    Compositions with j_num > l are pruned: their binomial factor is zero.
     """
     _require_proper(spec)
-    return (
-        (i, order, c)
-        for _, i, order, terms, _ in _pole_contributions(spec, (spec.numerator_degree,))
-        for c in terms
-    )
+    pole_sums = _pole_contributions(spec, (spec.numerator_degree,))
+    return ((i, order, c) for _, i, order, c in pole_sums)
 
 
 def _pole_contributions(
     spec: RationalFunctionSpec, degrees: Sequence[int], residues_only: bool = False
-) -> Iterator[tuple[int, int, int, list[Expr], bool]]:
-    """Yield (l, pole_index, order, terms, direct): the contributions of
-    :func:`proper_contributions` to x^l / Q for each of the distinct
-    ``degrees``, one group per key, each group's terms in composition order;
-    with ``residues_only``, only those of order 1 (the residues).  ``direct``
-    says that the pole's root is a Symbol and every difference a Sum; no two
-    of its contributions then share a rest (see :func:`_key_sum`).
+) -> Iterator[tuple[int, int, int, Expr]]:
+    """Yield (l, pole_index, order, coefficient) of x^l / Q for each of the
+    distinct ``degrees``, as :func:`proper_contributions` does: each key's
+    :func:`_key_sum` over its own composition stream, shared by every degree;
+    with ``residues_only``, only order 1 (the residues).
 
-    Per pole, the differences a_i - a_k and their powers (a_i - a_k)^-(m_k+j),
-    j < m_i, are built once, and each power a_i^e once, at its first use.
-    The signed binomials (-1)^j * C(m_k+j-1, j) are built once per distinct
-    (m_k, m_i), the binomials C(l, j), j < m_i, once per pole and degree,
-    and a scale's Constant once.  A Symbol less a Symbol is built directly
-    as its canonical two-term Sum: a_i (kind 1), then the Product -a_k
-    (kind 3); other differences as a_i + (-a_k).  The powers of a Sum are
-    built as Power nodes.  For a direct pole, a contribution is
-    assembled as the canonical Product directly: the bases are pairwise
-    distinct (the spec refuses equal roots), the Symbol sorts first, the
-    differences keep their own sorted order, and no power is a bare Sum to
-    distribute over.  When every root is a Symbol, a_i - a_k =
-    a_i + (-1)*a_k sorts as a_k does, so that order comes from one sort of
-    the roots.  Other inputs go through product_of.  An all-Constant spec
-    enumerates no composition: see :func:`_constant_pole_sums`.
+    Per pole, the differences a_i - a_k, their powers (a_i - a_k)^-(m_k+j),
+    j < m_i, and each degree's binomials C(l, j), j < m_i, are built once,
+    each a_i^e at its first use, the signed binomials (-1)^j * C(m_k+j-1, j)
+    once per distinct (m_k, m_i), and a scale's Constant once.  A Symbol
+    less a Symbol is built directly as its canonical two-term Sum, a_i (kind
+    1) then the Product -a_k (kind 3); other differences as a_i + (-a_k).
+    The powers of a Sum are built as Power nodes.  A pole is direct when its
+    root is a Symbol and every difference a Sum: a contribution is then the
+    canonical Product built directly, as the bases are pairwise distinct
+    (the spec refuses equal roots), the Symbol sorts first, the differences
+    keep their sorted order, and no power is a bare Sum to distribute over.
+    When every root is a Symbol, a_i - a_k = a_i + (-1)*a_k sorts as a_k
+    does, so that order comes from one sort of the roots.  Other inputs go
+    through product_of; an all-Constant spec enumerates no composition (see
+    :func:`_constant_pole_sums`).
     """
     if all(isinstance(a_k, Constant) for a_k in spec.roots):
         yield from _constant_pole_sums(spec, degrees, residues_only)
@@ -340,43 +332,42 @@ def _pole_contributions(
         direct = symbol and all(isinstance(d, Sum) for d in diffs)
         # each difference's powers, in base order, with its slot in a composition
         if by_root is None:
-            order = sorted(range(n - 1), key=diffs.__getitem__)
+            base_order = sorted(range(n - 1), key=diffs.__getitem__)
         else:
-            order = [k - (k > i) for k in by_root if k != i]
-        by_base = [(powers[p], 2 + p) for p in order]
-        orders = 1 if residues_only else m_i
-        # per degree l: C(l, j_num) for each j_num < m_i, and the groups by order
-        groups = [
-            (l, [binomial(l, j) for j in range(m_i)], [[] for _ in range(orders)])
-            for l in degrees
-        ]
-        for comp in compositions(m_i - 1, n + 1):
-            j_num, j_pole = comp[0], comp[1]
-            if j_num > top or j_pole >= orders:
-                continue
-            rest = prod(map(operator.getitem, tables, comp[2:]))
-            parts = tuple([power[comp[slot]] for power, slot in by_base])
-            for l, choose, by_order in groups:
-                scale = choose[j_num] * rest
-                if not scale:
+            base_order = [k - (k > i) for k in by_root if k != i]
+        by_base = [(powers[p], 1 + p) for p in base_order]
+        chooses = [(l, [binomial(l, j) for j in range(m_i)]) for l in degrees]  # C(l, j_num)
+        for order in range(1, 2 if residues_only else m_i + 1):
+            groups = [(l, choose, []) for l, choose in chooses]
+            for comp in compositions(m_i - order, n):
+                j_num = comp[0]
+                if j_num > top:
                     continue
-                e = l - j_num
-                root_power = root_powers.get(e)
-                if root_power is None:
-                    root_power = root_powers[e] = a_i**e
-                if direct:
-                    head = heads.get(scale)
-                    if head is None:
-                        head = heads[scale] = (Constant(scale),) if scale != 1 else ()
-                    factors = head + ((root_power,) if e else ()) + parts
-                    c = Product(factors) if len(factors) > 1 else factors[0] if factors else ONE
-                else:
-                    c = product_of([root_power, *parts, Constant(scale)])
-                by_order[j_pole].append(c)
-        for l, _, by_order in groups:
-            for j_pole, terms in enumerate(by_order):
+                rest = prod(map(operator.getitem, tables, comp[1:]))
+                parts = tuple([power[comp[slot]] for power, slot in by_base])
+                for l, choose, terms in groups:
+                    scale = choose[j_num] * rest
+                    if not scale:
+                        continue
+                    e = l - j_num
+                    root_power = root_powers.get(e)
+                    if root_power is None:
+                        root_power = root_powers[e] = a_i**e
+                    if direct:
+                        head = heads.get(scale)
+                        if head is None:
+                            head = heads[scale] = (Constant(scale),) if scale != 1 else ()
+                        factors = head + ((root_power,) if e else ()) + parts
+                        c = (Product(factors) if len(factors) > 1
+                             else factors[0] if factors else ONE)
+                    else:
+                        c = product_of([root_power, *parts, Constant(scale)])
+                    terms.append(c)
+            for l, _, terms in groups:
                 if terms:
-                    yield l, i, j_pole + 1, terms, direct
+                    c = _key_sum(terms, direct)
+                    if c != ZERO:
+                        yield l, i, order, c
 
 
 def _series(cs: Sequence[tuple[int, int]], mults: Sequence[int], count: int) -> tuple:
@@ -394,8 +385,8 @@ def _series(cs: Sequence[tuple[int, int]], mults: Sequence[int], count: int) -> 
 
 def _constant_pole_sums(
     spec: RationalFunctionSpec, degrees: Sequence[int], residues_only: bool
-) -> Iterator[tuple[int, int, int, list[Expr], bool]]:
-    """The groups of :func:`_pole_contributions` for Constant roots a_k =
+) -> Iterator[tuple[int, int, int, Constant]]:
+    """The coefficients of :func:`_pole_contributions` for Constant roots a_k =
     p_k/q_k, each key summed in ints.  With c_k = 1/(a_k - a_i), (l, i, order)
     is [t^d], d = m_i - order, of (a_i + t)^l prod_{k != i} (-c_k)^(m_k) (1 -
     c_k t)^-(m_k), that is the int [t^d] q_i^l (a_i + Q t)^l sum_j H_j t^j, H
@@ -414,33 +405,36 @@ def _constant_pole_sums(
                 d = m_i - order
                 c = sum(power[j] * h[d - j] for j in range(min(d, top) + 1))
                 if c:
-                    yield l, i, order, [Constant(Fraction(num * c, den * q_i**l * Q**d))], False
+                    yield l, i, order, Constant(Fraction(num * c, den * q_i**l * Q**d))
 
 
 def _key_sum(terms: list[Expr], direct: bool) -> Expr:
-    """The canonical sum of one key's canonical contributions, as yielded by
-    :func:`_pole_contributions`.  A direct pole's contributions are
-    non-Sum, nonzero and of pairwise distinct rests, so nothing merges and
-    their sum is the Sum of them sorted; other poles' go through _make_sum."""
+    """The canonical sum of one key's canonical terms: every key of one input
+    is summed here where it is made, and a batch's keys in :func:`collect`.
+    A direct key's terms are non-Sum, nonzero and of pairwise distinct rests,
+    so nothing merges and their sum is the Sum of them sorted; other keys'
+    go through _make_sum."""
     if len(terms) == 1:
         return terms[0]
     return Sum(tuple(sorted(terms))) if direct else _make_sum(terms)
 
 
 def _quotient_contributions(spec: RationalFunctionSpec) -> Iterator[MonomialTerm]:
-    """Yield the raw monomials of the quotient sum_{j=0}^{l-m} h_j * x^(l-m-j)
-    of an improper input.  h_j (complete homogeneous symmetric polynomial of
-    the roots with multiplicity) sums prod_k C(m_k + c_k - 1, c_k) * a_k^(c_k)
-    over the weak compositions c of j: C(j+n-1, n-1) terms.  Once that costs
-    more than h_j = sum_i Res_{a_i} x^(j+m-1) / Q, the order-1 pole formula
-    with sum_i C(m_i+n-2, n-1) terms of n+1 factors each (root differences,
-    about twice as costly as powers of roots), the residue form is used.
+    """Yield the quotient sum_{j=0}^{l-m} h_j * x^(l-m-j) of an improper
+    input, one canonical monomial per degree, those with h_j = 0 left out.
+    h_j (complete homogeneous symmetric polynomial of the roots with
+    multiplicity) sums prod_k C(m_k + c_k - 1, c_k) * a_k^(c_k) over the
+    weak compositions c of j: C(j+n-1, n-1) terms.  Once that costs more
+    than h_j = sum_i Res_{a_i} x^(j+m-1) / Q, the order-1 pole formula with
+    sum_i C(m_i+n-2, n-1) terms of n+1 factors each (root differences, about
+    twice as costly as powers of roots), the residue form is used.  Either
+    way, a degree's terms or residues are summed by :func:`_key_sum`.
 
     Each a_k^c and C(m_k + c - 1, c) is built once, in per-root tables that
     grow with j.  When every root is a Symbol, a term is assembled as the
-    canonical Product directly: its factors are the non-unit powers, of
-    pairwise distinct bases, sorted, after the scale when that is not 1.
-    Other inputs go through product_of.
+    canonical Product directly, and is direct: its factors are the non-unit
+    powers, of pairwise distinct bases, sorted, after the scale when that is
+    not 1.  Other inputs go through product_of.
 
     When every root is a Constant, no composition is enumerated: h_j is
     H_j / Q^j from :func:`_series` with c_k = a_k, or for one root C(m + j - 1, j) a^j.
@@ -467,11 +461,13 @@ def _quotient_contributions(spec: RationalFunctionSpec) -> Iterator[MonomialTerm
     direct = all(isinstance(a_k, Symbol) for a_k in roots)
     powers = [[] for _ in roots]  # powers[k][c] = a_k^c
     binomials = [[] for _ in mults]  # binomials[k][c] = C(m_k + c - 1, c)
+    sums: dict[int, list[Expr]] = {}  # degree -> h_j, or the terms that sum to it
     j = 0
     while j <= l - m and binomial(j + n - 1, n - 1) * (min(j, n) + 1) <= residue_cost:
         for a_k, m_k, power, binom in zip(roots, mults, powers, binomials):
             power.append(a_k**j)
             binom.append(binomial(m_k + j - 1, j))
+        terms = []
         for comp in compositions(j, n):
             scale = prod(map(operator.getitem, binomials, comp))
             if direct:
@@ -481,13 +477,16 @@ def _quotient_contributions(spec: RationalFunctionSpec) -> Iterator[MonomialTerm
                 t = Product(tuple(factors)) if len(factors) > 1 else factors[0] if factors else ONE
             else:
                 t = product_of([Constant(scale), *map(operator.getitem, powers, comp)])
-            yield MonomialTerm(l - m - j, t)
+            terms.append(t)
+        sums[l - m - j] = [_key_sum(terms, direct)]
         j += 1
     if j <= l - m:
-        degrees = range(j + m - 1, l)
-        for k, _, _, terms, _ in _pole_contributions(spec, degrees, residues_only=True):
-            for c in terms:
-                yield MonomialTerm(l - 1 - k, c)
+        for k, _, _, c in _pole_contributions(spec, range(j + m - 1, l), residues_only=True):
+            sums.setdefault(l - 1 - k, []).append(c)  # the residues of x^k / Q
+    for degree, terms in sums.items():
+        h_j = _key_sum(terms, False)
+        if h_j != ZERO:
+            yield MonomialTerm(degree, h_j)
 
 
 def decompose_proper(spec: RationalFunctionSpec) -> Decomposition:
@@ -520,14 +519,13 @@ def _decompose_shared(
     """decompose(spec) for each of ``specs``, which share one denominator,
     its factors in any order.  The pole formula is enumerated once, in the
     first spec's factor order, over all their distinct degrees, so each
-    composition's differences and signed binomials serve every degree, and
-    each (l, pole, order) key is summed once where it is enumerated.  Each
-    spec takes those sums on its own poles, in its own factor order, and
-    has its own quotient."""
+    composition's differences and signed binomials serve every degree.  Each
+    spec takes its degree's key sums on its own poles, in its own factor
+    order, and has its own quotient; :func:`collect` only sorts their keys."""
     first = specs[0]
     sums: dict[int, list] = {l: [] for l in sorted({spec.numerator_degree for spec in specs})}
-    for l, i, order, terms, direct in _pole_contributions(first, tuple(sums)):
-        sums[l].append((i, order, _key_sum(terms, direct)))
+    for l, i, order, c in _pole_contributions(first, tuple(sums)):
+        sums[l].append((i, order, c))
     out: dict[RationalFunctionSpec, Decomposition] = {}
     for spec in specs:
         if spec not in out:
@@ -595,17 +593,16 @@ def collect(d: Decomposition) -> Decomposition:
     """Merge terms sharing a degree or a (pole, order) pair: coefficients are
     summed into canonical form, exact zeros dropped and keys sorted.  A key
     with one coefficient keeps it as it is, since it is canonical already.
-    Idempotent.  Every merge goes through here, except the sum of each
-    (pole, order) key of the closed formula, which :func:`_decompose_shared`
-    takes where the key is enumerated.
+    Idempotent.  One input's decomposition has one coefficient per key,
+    summed where it is made, so only the weighted inputs of a batch merge
+    here; expanded output drops its zeros here.
     """
     def merged(terms, key):
         acc: dict = {}
         for term in terms:
             acc.setdefault(key(term), []).append(term.coefficient)
         for k in sorted(acc):
-            coefficients = acc[k]
-            total = coefficients[0] if len(coefficients) == 1 else _make_sum(coefficients)
+            total = _key_sum(acc[k], False)
             if total != ZERO:
                 yield k, total
 

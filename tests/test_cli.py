@@ -177,6 +177,14 @@ def test_write_error_names_the_path_and_the_reason(in_tmp, capsys):
     assert ".tmp" not in err
 
 
+def test_empty_output_name_is_refused_as_an_option_error(in_tmp, capsys):
+    for argv in (("--output", ""), ("--output=",)):
+        code, out, err = run_cli(capsys, *argv, "0,1", "a")
+        assert (code, out) == (1, "")
+        assert err == "partfrac: error: --output needs a file name, not ''\n"
+        assert os.listdir(in_tmp) == []
+
+
 def test_huge_integers_end_in_one_line(in_tmp, capsys):
     # the root itself is too long to render, or (3^99999999) would take
     # minutes to compute: both are refused while parsing, with the span

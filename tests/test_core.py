@@ -240,22 +240,28 @@ def test_proper_requires_proper_input():
         list(proper_contributions(spec_of(1, (a, 1))))
 
 
-def test_contribution_count_matches_composition_enumeration():
+def test_contribution_count_matches_composition_enumeration(monkeypatch):
     rng = random.Random(7)
+    taken = []
+    real = core.compositions
+    monkeypatch.setattr(core, "compositions", lambda m, k: _counted(real(m, k), taken))
     for _ in range(20):
         spec = random_symbolic_spec(rng, max_n=4, max_mult=3, numerator="proper")
         n = len(spec.factors)
         expected = 0
         for _, m_i in spec.factors:
-            for comp in compositions(m_i - 1, n + 1):
+            for comp in real(m_i - 1, n + 1):
                 if comp[0] <= spec.numerator_degree:
                     expected += 1
-        assert sum(1 for _ in proper_contributions(spec)) == expected
-        # candidate count per factor is C(m_i - 1 + n, n) before pruning
-        for _, m_i in spec.factors:
-            assert sum(1 for _ in compositions(m_i - 1, n + 1)) == binomial(
-                m_i - 1 + n, n
-            )
+        taken.clear()
+        coefficients = list(proper_contributions(spec))
+        # one coefficient per key; every pole of Symbol roots is direct, so
+        # each coefficient's summands are its contributions
+        assert len({(i, order) for i, order, _ in coefficients}) == len(coefficients)
+        assert sum(len(_summands(c)) for _, _, c in coefficients) == expected
+        # the candidates per factor, one stream per order, are C(m_i - 1 + n, n)
+        # before pruning
+        assert len(taken) == sum(binomial(m_i - 1 + n, n) for m_i in spec.multiplicities)
 
 
 def _contributions_by_product_of(spec, degrees, residues_only):
@@ -314,15 +320,27 @@ def _by_degree(monomials):
 
 
 def _summed(groups):
-    """Each group as the one-term list of its sum, the groups that sum to 0
-    left out."""
+    """Each group's sum by _make_sum, the groups that sum to 0 left out."""
     sums = {key: expr._make_sum(terms) for key, terms in groups.items()}
-    return {key: [total] for key, total in sums.items() if total != ZERO}
+    return {key: total for key, total in sums.items() if total != ZERO}
 
 
-def _count(groups):
-    """The number of contributions in _pole_contributions' groups."""
-    return sum(len(terms) for _, _, _, terms, _ in groups)
+def _summands(c):
+    """The terms of a Sum, or the one term that is not a Sum."""
+    return c.terms if isinstance(c, Sum) else (c,)
+
+
+def _count(coefficients):
+    """The number of contributions in _pole_contributions' coefficients when
+    every key is direct: the summands of each, as no two merged."""
+    return sum(len(_summands(c)) for _, _, _, c in coefficients)
+
+
+def _counted(items, taken):
+    """Yield ``items``, appending each to ``taken``."""
+    for item in items:
+        taken.append(item)
+        yield item
 
 
 @settings(max_examples=200, deadline=None)
@@ -334,24 +352,20 @@ def _count(groups):
 )
 def test_pole_contributions_equal_their_product_of_form(factors, degrees, residues_only):
     # symbols, sums, differences, scaled symbols, rationals and zero, alone
-    # or mixed; the distinct degrees make proper and improper numerators
-    # an all-Constant spec yields each key summed, and a key that sums to 0
-    # not at all
+    # or mixed; the distinct degrees make proper and improper numerators.
+    # Every root kind yields one coefficient per key, the _make_sum of the
+    # key's product_of terms, and a key that sums to 0 not at all
     spec = spec_of(0, *((MIXED_ROOTS[r], m) for r, m in factors))
-    summed = _summed if all(isinstance(a_k, Constant) for a_k in spec.roots) else dict
     got = list(core._pole_contributions(spec, degrees, residues_only))
-    groups = {(l, i, order): terms for l, i, order, terms, _ in got}
-    assert len(groups) == len(got)  # one group per key
-    assert groups == summed(_by_key(_contributions_by_product_of(spec, degrees, residues_only)))
-    for _, i, _, _, direct in got:
-        a_i = spec.roots[i]
-        diffs = [a_i - a_k for a_k in spec.roots if a_k != a_i]
-        assert direct == (isinstance(a_i, Symbol) and all(isinstance(d, Sum) for d in diffs))
+    sums = {(l, i, order): c for l, i, order, c in got}
+    assert len(sums) == len(got)  # one coefficient per key
+    assert sums == _summed(_by_key(_contributions_by_product_of(spec, degrees, residues_only)))
     for l in degrees:
         spec = spec_of(l, *spec.factors)
-        assert _by_degree(core._quotient_contributions(spec)) == summed(
-            _by_degree(_quotient_by_product_of(spec))
-        )
+        monomials = list(core._quotient_contributions(spec))
+        quotient = {t.degree: t.coefficient for t in monomials}
+        assert len(quotient) == len(monomials)  # one coefficient per degree
+        assert quotient == _summed(_by_degree(_quotient_by_product_of(spec)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -390,11 +404,11 @@ def test_constant_root_sums_equal_the_make_sum_of_their_compositions(factors, l)
     spec = spec_of(l % (2 * m + 1), *((Constant(r), k) for r, k in factors))
     d = decompose(spec)
     poles = _summed(_by_key(_contributions_by_product_of(spec, [spec.numerator_degree], False)))
-    assert {(t.pole_index, t.order): [t.coefficient] for t in d.poles} == {
-        (i, order): terms for (_, i, order), terms in poles.items()
+    assert {(t.pole_index, t.order): t.coefficient for t in d.poles} == {
+        (i, order): total for (_, i, order), total in poles.items()
     }
     quotient = _summed(_by_degree(_quotient_by_product_of(spec)))
-    assert {t.degree: [t.coefficient] for t in d.monomials} == quotient
+    assert {t.degree: t.coefficient for t in d.monomials} == quotient
 
 
 def _naive_series(cs, mults, count):
@@ -853,7 +867,8 @@ def test_symbol_root_contributions_are_built_without_product_of(monkeypatch):
     real = expr._make_product
     monkeypatch.setattr(expr, "_make_product", lambda fs: calls.append(1) or real(fs))
     assert _count(core._pole_contributions(spec, (0,))) == 1123
-    # one call per root, to negate it once; none per difference or contribution
+    # one call per root, to negate it once; none per difference, contribution
+    # or key sum
     assert len(calls) == 23
 
 
@@ -870,9 +885,12 @@ def test_symbol_differences_are_built_without_make_sum(monkeypatch):
     # through _make_sum
     mixed = spec_of(2, (a, 2), (Constant(3), 1), (b, 1), (Constant(0), 2),
                     (Constant(Fraction(-1, 2)), 1), (c, 1))
-    count = _count(core._pole_contributions(mixed, (2,)))
+    summed = []
+    real_key_sum = core._key_sum
+    monkeypatch.setattr(core, "_key_sum", lambda ts, d: summed.extend(ts) or real_key_sum(ts, d))
+    list(core._pole_contributions(mixed, (2,)))
     assert len(calls) == 3 * 5 + 3 * 3
-    assert count == sum(1 for _ in _contributions_by_product_of(mixed, (2,), False))
+    assert len(summed) == sum(1 for _ in _contributions_by_product_of(mixed, (2,), False))
 
 
 def test_symbol_root_quotient_terms_are_built_without_product_of(monkeypatch):
@@ -880,8 +898,11 @@ def test_symbol_root_quotient_terms_are_built_without_product_of(monkeypatch):
     calls = []
     real = expr._make_product
     monkeypatch.setattr(expr, "_make_product", lambda fs: calls.append(1) or real(fs))
-    # all 18 quotient coefficients take the expanded form: C(20, 3) terms
-    assert len(list(core._quotient_contributions(spec))) == binomial(20, 3) == 1140
+    # all 18 quotient coefficients take the expanded form: C(20, 3) terms,
+    # none of which merge, summed into one coefficient per degree
+    monomials = list(core._quotient_contributions(spec))
+    assert [t.degree for t in monomials] == list(range(17, -1, -1))
+    assert sum(len(_summands(t.coefficient)) for t in monomials) == binomial(20, 3) == 1140
     assert calls == []
 
 
@@ -921,14 +942,19 @@ def test_batch_enumerates_a_shared_denominator_once(monkeypatch):
     real = core.compositions
     monkeypatch.setattr(core, "compositions", lambda m, k: calls.append((m, k)) or real(m, k))
     d = decompose_batch(terms)
-    assert calls == [(4, 4), (6, 4), (10, 4)]  # one enumeration per pole
+    # one enumeration per (pole, order): the compositions of m_i - order
+    per_key = [(m_i - order, 3) for m_i in (5, 7, 11) for order in range(1, m_i + 1)]
+    assert calls == per_key
     # five members in each of two factor orders, with equal degrees across
-    # the orders: still one enumeration per pole
+    # the orders, or one member: still one enumeration per (pole, order)
     mixed = terms[:5] + [(Symbol(f"v{l}"), RationalFunctionSpec(l, factors[::-1]))
                          for l in range(5)]
     calls.clear()
     d_mixed = decompose_batch(mixed)
-    assert calls == [(4, 4), (6, 4), (10, 4)]
+    assert calls == per_key
+    calls.clear()
+    decompose_batch(terms[:1])
+    assert calls == per_key
     monkeypatch.setattr(core, "compositions", real)
     assert d == _batch_by_decompose(terms)
     assert d_mixed == _batch_by_decompose(mixed)
@@ -971,21 +997,25 @@ def test_serialize_renders_each_distinct_power_once(monkeypatch):
 
 def test_collect_keeps_every_unmerged_contribution_as_it_is(monkeypatch):
     spec = roots23_spec()
+    keys = []  # the contributions of each key, as _key_sum receives them
+    real_key_sum = core._key_sum
+    monkeypatch.setattr(core, "_key_sum", lambda ts, d: keys.append(ts) or real_key_sum(ts, d))
+    sums = list(core._pole_contributions(spec, (0,)))
     poles = [
-        PoleTerm(i, order, c)
-        for _, i, order, terms, _ in core._pole_contributions(spec, (0,)) for c in terms
+        PoleTerm(i, order, c) for (_, i, order, _), terms in zip(sums, keys) for c in terms
     ]
     calls = []
     real = expr._scale
     monkeypatch.setattr(expr, "_scale", lambda t, k: calls.append(1) or real(t, k))
     d = collect(Decomposition(spec.roots, (), poles))
     # no two contributions of a Symbol root share a rest, so nothing merges
-    # and nothing is rebuilt: every summand is a contribution, by identity
+    # and nothing is rebuilt: every summand is a contribution, by identity,
+    # and each key's merge is the one sum its enumeration made
     assert calls == []
-    summands = [
-        t for p in d.poles
-        for t in (p.coefficient.terms if isinstance(p.coefficient, Sum) else (p.coefficient,))
-    ]
+    assert [(p.pole_index, p.order, p.coefficient) for p in d.poles] == sorted(
+        (i, order, c) for _, i, order, c in sums
+    )
+    summands = [t for p in d.poles for t in _summands(p.coefficient)]
     assert len(summands) == len(poles) == 1123
     assert {id(t) for t in summands} == {id(p.coefficient) for p in poles}
 
@@ -1003,12 +1033,72 @@ def test_roots23_is_decomposed_without_make_sum(monkeypatch):
     assert len(d.poles) == 19 + 4 * 3
 
 
+def test_symbol_root_quotient_is_decomposed_without_make_sum(monkeypatch):
+    # the improper_symbolic l = 40 case: each quotient degree's 1,140 terms
+    # in all are summed by one sort, as direct pole keys are
+    spec = spec_of(40, (a, 5), (b, 7), (c, 11))
+    calls = []
+    real = expr._make_sum
+    monkeypatch.setattr(expr, "_make_sum", lambda ts: calls.append(1) or real(ts))
+    monkeypatch.setattr(core, "_make_sum", lambda ts: calls.append(1) or real(ts))
+    d = decompose(spec)
+    assert calls == []
+    assert len(d.monomials) == 18 and len(d.poles) == 23
+
+
+@pytest.mark.parametrize("factors", [
+    ((a, 5), (b, 7), (c, 11)),
+    ((a, 2), (2 * b, 1), (c + 1, 3)),
+    ((a, 3), (Constant(Fraction(-1, 2)), 2), (b, 1), (Constant(0), 4)),
+])
+def test_residues_enumerate_what_residue_cost_counts(monkeypatch, factors):
+    # the residue form takes sum_i C(m_i + n - 2, n - 1) compositions, the
+    # count its cost model assumes, for any number of degrees; the full
+    # pole formula takes sum_i C(m_i - 1 + n, n)
+    spec = spec_of(0, *factors)
+    n = len(factors)
+    taken = []
+    real = core.compositions
+    monkeypatch.setattr(core, "compositions", lambda m, k: _counted(real(m, k), taken))
+    list(core._pole_contributions(spec, range(30, 90), residues_only=True))
+    assert len(taken) == sum(binomial(m_i + n - 2, n - 1) for m_i in spec.multiplicities)
+    taken.clear()
+    list(core._pole_contributions(spec, (0, 7, 50)))
+    assert len(taken) == sum(binomial(m_i - 1 + n, n) for m_i in spec.multiplicities)
+
+
+@pytest.mark.parametrize("terms", [
+    [(1, spec_of(40, (a, 5), (b, 7), (c, 11)))],
+    [(1, spec_of(83, (a, 5), (b, 7), (c, 11)))],
+    [(1, spec_of(66, (a, 2), (2 * b, 1), (c + 1, 3)))],
+    [(1, spec_of(9, (a, 2), (a + b, 1), (Constant(0), 2), (Constant(3), 1)))],
+    [(1, spec_of(12, (Constant(Fraction(1, 3)), 2), (Constant(-2), 3)))],
+    [(1, spec_of(3, (a, 1), (-a, 1)))],  # h_1 = a - a = 0
+    [(Symbol(f"w{l}"), spec_of(l, *factors))
+     for l in range(0, 30, 4) for factors in (((a, 2), (b - 1, 3)), ((b - 1, 3), (a, 2)))],
+])
+def test_collect_gets_one_coefficient_per_key_of_one_input(monkeypatch, terms):
+    # every key of one input is summed where it is made, so collect merges
+    # only across the inputs of a batch
+    given = []
+    real = core.collect
+    monkeypatch.setattr(core, "collect", lambda d: given.append(d) or real(d))
+    decompose_batch(terms)
+    *members, _ = given  # the last merges the batch
+    assert len(members) == len({spec for _, spec in terms})
+    for member in members:
+        monomials, poles = list(member.monomials), list(member.poles)
+        assert len({t.degree for t in monomials}) == len(monomials)
+        assert len({(t.pole_index, t.order) for t in poles}) == len(poles)
+        assert ZERO not in [t.coefficient for t in (*monomials, *poles)]
+
+
 def test_contribution_rests_hash_apart():
     # the rests that a merge would bucket by, keyed as _make_sum keys them;
     # with b^-1 and b^-2 hashing alike they shared 135 hashes
     rests = []
-    for _, _, _, terms, _ in core._pole_contributions(roots23_spec(), (0,)):
-        for t in terms:
+    for _, _, _, c in core._pole_contributions(roots23_spec(), (0,)):
+        for t in _summands(c):
             key = t
             if isinstance(t, Product):
                 key = t.factors

@@ -52,18 +52,18 @@ def _batches(seed, count):
     return batches
 
 
-def _rational_batches(seed, count):
-    """Weighted sums of inputs over one set of rational roots, at several
-    degrees from proper to improper, some in reversed factor order, with
-    int, Fraction and symbol weights."""
+def _shared_batches(seed, count, factors):
+    """Weighted sums of inputs over one set of factors drawn by
+    ``factors(rng)``, at several degrees from proper to improper, some in
+    reversed factor order, with int, Fraction and symbol weights."""
     rng = random.Random(seed)
     batches = []
     for _ in range(count):
-        factors = random_rational_spec(rng, max_n=4, max_mult=3).factors
-        m = sum(mult for _, mult in factors)
+        shared = factors(rng)
+        m = sum(mult for _, mult in shared)
         terms = []
         for i in range(rng.randint(2, 5)):
-            order = factors[::-1] if rng.random() < 0.3 else factors
+            order = shared[::-1] if rng.random() < 0.3 else shared
             weight = rng.choice([1, -1, 3, Fraction(-2, 5), Symbol(f"c{i}")])
             terms.append((weight, RationalFunctionSpec(rng.randint(0, 2 * m), order)))
         batches.append(decompose_batch(terms))
@@ -109,7 +109,12 @@ CLASSES = {
         decompose, _specs(random_symbolic_spec, 104, 30, max_n=3, numerator="improper")
     ),
     "batch": lambda: _batches(105, 20),
-    "rational_batch": lambda: _rational_batches(107, 30),
+    "rational_batch": lambda: _shared_batches(
+        107, 30, lambda rng: random_rational_spec(rng, max_n=4, max_mult=3).factors
+    ),
+    "mixed_batch": lambda: _shared_batches(
+        108, 30, lambda rng: random_mixed_spec(rng, max_n=4, max_mult=2).factors
+    ),
     "mixed": lambda: map(decompose, _specs(random_mixed_spec, 106, 40)),
     "bench_scale": _bench_scale,
     "deep_quotient": _deep_quotient,
@@ -122,6 +127,7 @@ GOLDEN = {
     "symbolic_improper": "7d92b53a6279c90fe72dc8acd9c225d166b7b4c75ddc1b9e319313cafbbbd39c",
     "batch": "325fd9668a56e8a93836efe4afbf4e155225ebba17b4f887d1d6565219be4e94",
     "rational_batch": "0382819aeeb38c637201811c8c2919fbd7d70d17df97ffb4149cf4503c1f8cdc",
+    "mixed_batch": "00e7f69d5287c1a9d16257b651baf038c6564fb018845be177d810c0c5c0a177",
     "mixed": "c8cb157430c67abc9272d0a9c650758fd4474c87ababb2a8b2aba4783304ee45",
     "bench_scale": "2b15ece86bccd3da58d8b52d0c64d2541e45b3c4f2607c4f27201ff9aed7748c",
     "deep_quotient": "e66f0d667cd55d3e21aedc198f1ef1c7ad0858a51820a0f2e886ef9949a4a2bc",

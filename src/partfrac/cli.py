@@ -141,8 +141,8 @@ def _build_spec(exponents_src: str, roots_src: str) -> RationalFunctionSpec:
     roots = parse_root_list(roots_src)
     if len(roots) != len(mults):
         raise ValueError(
-            f"{len(mults) + 1} exponent entries require {len(mults)} roots, "
-            f"{len(roots)} given"
+            f"{len(mults) + 1} exponent entries require {len(mults)} "
+            f"root{'' if len(mults) == 1 else 's'}, {len(roots)} given"
         )
     return RationalFunctionSpec(l, tuple(zip(roots, mults)))
 
@@ -241,10 +241,8 @@ def run(argv: Sequence[str] | None = None) -> int:
             for msg in failures:
                 print(f"partfrac: verification: {msg}", file=sys.stderr)
             return 2
-        print(
-            f"partfrac: verification passed ({ns.verify} substitution trials)",
-            file=sys.stderr,
-        )
+        trials = f"{ns.verify} substitution trial" + ("" if ns.verify == 1 else "s")
+        print(f"partfrac: verification passed ({trials})", file=sys.stderr)
     return 0
 
 

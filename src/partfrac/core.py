@@ -2,15 +2,18 @@
 
 The roots a_k are opaque canonical expressions (symbols, rationals, or
 arithmetic combinations of both) that must be pairwise distinct and free of
-the decomposition variable.  One closed formula covers every input: the
-pole terms come from the residue formula with its derivatives expanded into
-a sum over weak compositions weighted by binomial coefficients, and the
-quotient of an improper input is another such sum.  No symbolic
-differentiation or polynomial division is ever performed.  Each coefficient
-is summed where it is made, a (pole, order) key over its own composition
-stream, shared by every degree, and a quotient degree over its terms or
-residues; :func:`collect` merges only a batch's weighted inputs.  When every
-root is a Constant, the keys come summed from one truncated series in ints.
+the decomposition variable.  One closed formula covers every input: a pole
+coefficient is the residue formula with its derivatives expanded by the
+Leibniz rule, one coefficient of the Cauchy product of (a_i + t)^l with the
+series D_i(t) = prod_{k != i} (a_i - a_k + t)^-(m_k), and the quotient of an
+improper input is a sum of the same kind.  Both take their terms over weak
+compositions, weighted by binomial coefficients, from one routine,
+:func:`_composition_series`.  No symbolic differentiation or polynomial
+division is ever performed.  Each pole's series is enumerated once and
+serves every order and degree.  Each coefficient is summed where it is
+made; :func:`collect` merges only a batch's weighted inputs.  When every
+root is a Constant, the same Cauchy product is taken in ints from one
+truncated series per pole.
 
 Roots are validated by evaluation mod a prime, never by expansion (see
 :class:`RationalFunctionSpec`).  A spec that is accepted has pairwise
@@ -260,48 +263,65 @@ def proper_contributions(spec: RationalFunctionSpec) -> Iterator[tuple[int, int,
     """Yield (pole_index, order, coefficient) for a proper input: one
     canonical coefficient per key, the keys that sum to 0 left out.
 
-    The coefficient of 1/(x - a_i)^order sums over the weak compositions
-    (j_num, j_1, ..., j_{i-1}, j_{i+1}, ..., j_n) of m_i - order into n parts
+    With d = m_i - order, the coefficient of 1/(x - a_i)^order is the Cauchy
+    product [t^d] (a_i + t)^l * D_i(t), D_i(t) = prod_{k != i} (a_i - a_k +
+    t)^-(m_k), that is sum_{j <= min(d, l)} C(l, j) * a_i^(l - j) * [t^(d - j)]
+    D_i, where [t^r] D_i sums over the weak compositions (j_k)_{k != i} of r
 
-        C(l, j_num) * a_i^(l - j_num)
-        * prod_{k != i} C(m_k + j_k - 1, j_k) * (-1)^(j_k) * (a_i - a_k)^-(m_k + j_k).
-
-    Compositions with j_num > l are pruned: their binomial factor is zero.
+        prod_{k != i} C(m_k + j_k - 1, j_k) * (-1)^(j_k) * (a_i - a_k)^-(m_k + j_k).
     """
     _require_proper(spec)
     pole_sums = _pole_contributions(spec, (spec.numerator_degree,))
     return ((i, order, c) for _, i, order, c in pole_sums)
 
 
+def _composition_series(slots: Sequence[tuple[list, list]], count: int) -> Iterator[list]:
+    """Yield [t^r], r < count, of the product over ``slots`` of the series
+    sum_c scales[c] * powers[c] * t^c, a slot being the pair (scales,
+    powers): the list of one (scale, factors) per weak composition c of r
+    into one part per slot, scale the product of the scales[c_k] and factors
+    the tuple of the powers[c_k] in slot order.  With no slot the product is
+    1.  This is the only enumeration of compositions in the engine."""
+    scales, powers = [s for s, _ in slots], [p for _, p in slots]
+    for r in range(count):
+        comps = compositions(r, len(slots)) if slots else [()] if r == 0 else []
+        yield [(prod(map(operator.getitem, scales, c)), tuple(map(operator.getitem, powers, c)))
+               for c in comps]
+
+
 def _pole_contributions(
     spec: RationalFunctionSpec, degrees: Sequence[int], residues_only: bool = False
 ) -> Iterator[tuple[int, int, int, Expr]]:
     """Yield (l, pole_index, order, coefficient) of x^l / Q for each of the
-    distinct ``degrees``, as :func:`proper_contributions` does: each key's
-    :func:`_key_sum` over its own composition stream, shared by every degree;
-    with ``residues_only``, only order 1 (the residues).
+    distinct ``degrees``, as :func:`proper_contributions` does, each key
+    summed by :func:`_key_sum`; with ``residues_only``, only order 1 (the
+    residues).
 
-    Per pole, the differences a_i - a_k, their powers (a_i - a_k)^-(m_k+j),
-    j < m_i, and each degree's binomials C(l, j), j < m_i, are built once,
-    each a_i^e at its first use, the signed binomials (-1)^j * C(m_k+j-1, j)
-    once per distinct (m_k, m_i), and a scale's Constant once.  A Symbol
-    less a Symbol is built directly as its canonical two-term Sum, a_i (kind
-    1) then the Product -a_k (kind 3); other differences as a_i + (-a_k).
-    The powers of a Sum are built as Power nodes.  A pole is direct when its
-    root is a Symbol and every difference a Sum: a contribution is then the
-    canonical Product built directly, as the bases are pairwise distinct
-    (the spec refuses equal roots), the Symbol sorts first, the differences
-    keep their sorted order, and no power is a bare Sum to distribute over.
-    When every root is a Symbol, a_i - a_k = a_i + (-1)*a_k sorts as a_k
-    does, so that order comes from one sort of the roots.  Other inputs go
-    through product_of; an all-Constant spec enumerates no composition (see
+    Per pole, the series D_i is enumerated once, r < m_i, by one
+    :func:`_composition_series` over one slot per difference: sum_i C(m_i +
+    n - 2, n - 1) compositions in all (none for a single root), each serving
+    every order and degree.  The differences a_i - a_k, their powers (a_i -
+    a_k)^-(m_k+j), j < m_i, and each degree's binomials C(l, j), j < m_i,
+    are built once per pole, each a_i^e at its first use, the signed
+    binomials (-1)^j * C(m_k+j-1, j) once per distinct (m_k, m_i), and a
+    scale's Constant once.  A Symbol less a Symbol is
+    built directly as its canonical two-term Sum, a_i (kind 1) then the
+    Product -a_k (kind 3); other differences as a_i + (-a_k).  The powers of
+    a Sum are built as Power nodes.  The slots are put in the order of their
+    bases, so the factors of a composition come sorted.  A pole is direct
+    when its root is a Symbol and every difference a Sum: a contribution is
+    then the canonical Product built directly, as the bases are pairwise
+    distinct (the spec refuses equal roots), the Symbol sorts first and no
+    power is a bare Sum to distribute over.  When every root is a Symbol,
+    a_i - a_k = a_i + (-1)*a_k sorts as a_k does, so that order comes from
+    one sort of the roots.  Other inputs go through product_of; an
+    all-Constant spec enumerates no composition (see
     :func:`_constant_pole_sums`).
     """
     if all(isinstance(a_k, Constant) for a_k in spec.roots):
         yield from _constant_pole_sums(spec, degrees, residues_only)
         return
     roots, mults, n = spec.roots, spec.multiplicities, len(spec.factors)
-    top = max(degrees)  # degrees may be a long range
     negated = [-a_k for a_k in roots]
     by_root = None
     if all(isinstance(a_k, Symbol) for a_k in roots):
@@ -311,60 +331,43 @@ def _pole_contributions(
     def signed(m_k: int, m_i: int) -> list[int]:
         return [(-1) ** j * binomial(m_k + j - 1, j) for j in range(m_i)]
 
-    heads: dict[int, tuple] = {}  # scale -> the head of a direct Product
-
+    head = cache(lambda scale: (Constant(scale),) if scale != 1 else ())  # of a direct Product
     for i in range(n):
         a_i, m_i = roots[i], mults[i]
-        others = [k for k in range(n) if k != i]
         symbol = isinstance(a_i, Symbol)
-        diffs = [
-            Sum((a_i, negated[k])) if symbol and isinstance(roots[k], Symbol)
+        diffs = {
+            k: Sum((a_i, negated[k])) if symbol and isinstance(roots[k], Symbol)
             else a_i + negated[k]
-            for k in others
+            for k in range(n) if k != i
+        }
+        direct = symbol and all(isinstance(d, Sum) for d in diffs.values())
+        order_by = sorted(diffs, key=diffs.__getitem__) if by_root is None else by_root
+        slots = [
+            (signed(mults[k], m_i),
+             [Power(diffs[k], -(mults[k] + j)) if isinstance(diffs[k], Sum)
+              else diffs[k] ** -(mults[k] + j) for j in range(m_i)])
+            for k in order_by if k != i
         ]
-        powers = [
-            [Power(diff, -(mults[k] + j)) if isinstance(diff, Sum) else diff ** -(mults[k] + j)
-             for j in range(m_i)]
-            for k, diff in zip(others, diffs)
-        ]
-        tables = [signed(mults[k], m_i) for k in others]
-        root_powers: dict[int, Expr] = {}  # e -> a_i^e
-        direct = symbol and all(isinstance(d, Sum) for d in diffs)
-        # each difference's powers, in base order, with its slot in a composition
-        if by_root is None:
-            base_order = sorted(range(n - 1), key=diffs.__getitem__)
-        else:
-            base_order = [k - (k > i) for k in by_root if k != i]
-        by_base = [(powers[p], 1 + p) for p in base_order]
-        chooses = [(l, [binomial(l, j) for j in range(m_i)]) for l in degrees]  # C(l, j_num)
-        for order in range(1, 2 if residues_only else m_i + 1):
-            groups = [(l, choose, []) for l, choose in chooses]
-            for comp in compositions(m_i - order, n):
-                j_num = comp[0]
-                if j_num > top:
-                    continue
-                rest = prod(map(operator.getitem, tables, comp[1:]))
-                parts = tuple([power[comp[slot]] for power, slot in by_base])
-                for l, choose, terms in groups:
-                    scale = choose[j_num] * rest
-                    if not scale:
-                        continue
-                    e = l - j_num
-                    root_power = root_powers.get(e)
-                    if root_power is None:
-                        root_power = root_powers[e] = a_i**e
-                    if direct:
-                        head = heads.get(scale)
-                        if head is None:
-                            head = heads[scale] = (Constant(scale),) if scale != 1 else ()
-                        factors = head + ((root_power,) if e else ()) + parts
-                        c = (Product(factors) if len(factors) > 1
-                             else factors[0] if factors else ONE)
-                    else:
-                        c = product_of([root_power, *parts, Constant(scale)])
-                    terms.append(c)
-            for l, _, terms in groups:
-                if terms:
+        series = list(_composition_series(slots, m_i))  # [t^r] D_i
+        root_power = cache(a_i.__pow__)  # e -> a_i^e
+        for l in degrees:
+            choose = [binomial(l, j) for j in range(m_i)]
+            for order in range(1, 2 if residues_only else m_i + 1):
+                d = m_i - order
+                terms = []
+                for j in range(min(d, l) + 1):
+                    power = root_power(l - j)
+                    lead = (power,) if l > j else ()
+                    for rest, parts in series[d - j]:
+                        scale = choose[j] * rest
+                        if direct:
+                            factors = head(scale) + lead + parts
+                            c = (Product(factors) if len(factors) > 1
+                                 else factors[0] if factors else ONE)
+                        else:
+                            c = product_of([power, *parts, Constant(scale)])
+                        terms.append(c)
+                if terms:  # with one root, [t^r] D_i = 0 for r > 0
                     c = _key_sum(terms, direct)
                     if c != ZERO:
                         yield l, i, order, c
@@ -430,8 +433,9 @@ def _quotient_contributions(spec: RationalFunctionSpec) -> Iterator[MonomialTerm
     twice as costly as powers of roots), the residue form is used.  Either
     way, a degree's terms or residues are summed by :func:`_key_sum`.
 
-    Each a_k^c and C(m_k + c - 1, c) is built once, in per-root tables that
-    grow with j.  When every root is a Symbol, a term is assembled as the
+    The expanded h_j come from one :func:`_composition_series` with a slot
+    per root, its tables a_k^c and C(m_k + c - 1, c) built once, one h_j at
+    a time.  When every root is a Symbol, a term is assembled as the
     canonical Product directly, and is direct: its factors are the non-unit
     powers, of pairwise distinct bases, sorted, after the scale when that is
     not 1.  Other inputs go through product_of.
@@ -458,30 +462,26 @@ def _quotient_contributions(spec: RationalFunctionSpec) -> Iterator[MonomialTerm
             scale *= Q
         return
     residue_cost = 2 * (n + 1) * sum(binomial(m_k + n - 2, n - 1) for m_k in mults)
+    count = 0  # the h_j taken in expanded form
+    while count <= l - m and binomial(count + n - 1, n - 1) * (min(count, n) + 1) <= residue_cost:
+        count += 1
     direct = all(isinstance(a_k, Symbol) for a_k in roots)
-    powers = [[] for _ in roots]  # powers[k][c] = a_k^c
-    binomials = [[] for _ in mults]  # binomials[k][c] = C(m_k + c - 1, c)
-    sums: dict[int, list[Expr]] = {}  # degree -> h_j, or the terms that sum to it
-    j = 0
-    while j <= l - m and binomial(j + n - 1, n - 1) * (min(j, n) + 1) <= residue_cost:
-        for a_k, m_k, power, binom in zip(roots, mults, powers, binomials):
-            power.append(a_k**j)
-            binom.append(binomial(m_k + j - 1, j))
+    slots = [([binomial(m_k + c - 1, c) for c in range(count)], [a_k**c for c in range(count)])
+             for a_k, m_k in spec.factors]
+    head = cache(lambda scale: (Constant(scale),) if scale != 1 else ())  # of a direct Product
+    sums: dict[int, list[Expr]] = {}  # degree -> h_j, or the residues that sum to it
+    for j, series in enumerate(_composition_series(slots, count)):
         terms = []
-        for comp in compositions(j, n):
-            scale = prod(map(operator.getitem, binomials, comp))
+        for scale, factors in series:
             if direct:
-                factors = sorted([power[c] for power, c in zip(powers, comp) if c])
-                if scale != 1:
-                    factors.insert(0, Constant(scale))
-                t = Product(tuple(factors)) if len(factors) > 1 else factors[0] if factors else ONE
+                factors = head(scale) + tuple(sorted([f for f in factors if f != ONE]))
+                terms.append(Product(factors) if len(factors) > 1
+                             else factors[0] if factors else ONE)
             else:
-                t = product_of([Constant(scale), *map(operator.getitem, powers, comp)])
-            terms.append(t)
+                terms.append(product_of([Constant(scale), *factors]))
         sums[l - m - j] = [_key_sum(terms, direct)]
-        j += 1
-    if j <= l - m:
-        for k, _, _, c in _pole_contributions(spec, range(j + m - 1, l), residues_only=True):
+    if count <= l - m:
+        for k, _, _, c in _pole_contributions(spec, range(count + m - 1, l), residues_only=True):
             sums.setdefault(l - 1 - k, []).append(c)  # the residues of x^k / Q
     for degree, terms in sums.items():
         h_j = _key_sum(terms, False)
@@ -517,9 +517,9 @@ def _decompose_shared(
     specs: Sequence[RationalFunctionSpec],
 ) -> dict[RationalFunctionSpec, Decomposition]:
     """decompose(spec) for each of ``specs``, which share one denominator,
-    its factors in any order.  The pole formula is enumerated once, in the
-    first spec's factor order, over all their distinct degrees, so each
-    composition's differences and signed binomials serve every degree.  Each
+    its factors in any order.  The pole formula is taken once, in the first
+    spec's factor order, over all their distinct degrees: each pole's series
+    of differences and signed binomials serves every order and degree.  Each
     spec takes its degree's key sums on its own poles, in its own factor
     order, and has its own quotient; :func:`collect` only sorts their keys."""
     first = specs[0]

@@ -62,6 +62,12 @@ def test_arity_mismatch_exits_1_naming_counts(in_tmp, capsys):
     assert "3 exponent entries require 2 roots" in err and "3 given" in err
 
 
+def test_arity_mismatch_names_one_root_in_the_singular(in_tmp, capsys):
+    code, out, err = run_cli(capsys, "0,1", "a,b")
+    assert code == 1 and out == ""
+    assert err == "partfrac: error: 2 exponent entries require 1 root, 2 given\n"
+
+
 def test_duplicate_roots_exit_1(in_tmp, capsys):
     for roots in ("a,(2*a)/2", "1/(a-b)+1/(a+b),2*a/(a^2-b^2)"):
         code, out, err = run_cli(capsys, "--verify", "3", "0,1,1", roots)
@@ -224,7 +230,7 @@ def test_work_without_bound_ends_in_one_line(in_tmp, capsys):
     # a^999999 is evaluated mod a 62-bit prime, so verifying it is cheap
     code, out, err = run_cli(capsys, "0,1,1", "a,a^999999", "--verify", "1")
     assert code == 0
-    assert err == "partfrac: verification passed (1 substitution trials)\n"
+    assert err == "partfrac: verification passed (1 substitution trial)\n"
     assert (in_tmp / "result.out").read_text() == out
 
 

@@ -240,6 +240,14 @@ def test_proper_requires_proper_input():
         list(proper_contributions(spec_of(1, (a, 1))))
 
 
+def _series_count(spec):
+    """The composition tuples of the symbolic pole path: one series of the
+    differences per pole, sum_i C(m_i + n - 2, n - 1), and none for a single
+    root, which has no difference."""
+    n = len(spec.factors)
+    return sum(binomial(m_i + n - 2, n - 1) for m_i in spec.multiplicities) if n > 1 else 0
+
+
 def test_contribution_count_matches_composition_enumeration(monkeypatch):
     rng = random.Random(7)
     taken = []
@@ -259,9 +267,25 @@ def test_contribution_count_matches_composition_enumeration(monkeypatch):
         # each coefficient's summands are its contributions
         assert len({(i, order) for i, order, _ in coefficients}) == len(coefficients)
         assert sum(len(_summands(c)) for _, _, c in coefficients) == expected
-        # the candidates per factor, one stream per order, are C(m_i - 1 + n, n)
-        # before pruning
-        assert len(taken) == sum(binomial(m_i - 1 + n, n) for m_i in spec.multiplicities)
+        # the contributions come from one series of the differences per
+        # pole, in n - 1 parts, shared by every order; nothing is pruned
+        assert len(taken) == _series_count(spec)
+        assert all(len(comp) == n - 1 for comp in taken)
+
+
+def test_a_pole_series_serves_every_order_and_degree(monkeypatch):
+    # x^0 / ((x-a)(x-b)(x-c)(x-d))^11: one series per pole, 4 * C(13, 3)
+    # tuples, shared by all 11 orders and by every degree
+    d = Symbol("d")
+    spec = spec_of(0, (a, 11), (b, 11), (c, 11), (d, 11))
+    taken = []
+    real = core.compositions
+    monkeypatch.setattr(core, "compositions", lambda m, k: _counted(real(m, k), taken))
+    assert len(decompose(spec).poles) == 44
+    assert len(taken) == _series_count(spec) == 4 * 286 == 1144
+    taken.clear()
+    list(core._pole_contributions(spec, (0, 3, 40, 41)))
+    assert len(taken) == 1144
 
 
 def _contributions_by_product_of(spec, degrees, residues_only):
@@ -350,6 +374,7 @@ def _counted(items, taken):
     st.lists(st.integers(0, 20), min_size=1, max_size=3, unique=True),
     st.booleans(),
 )
+@example([(0, 3)], [0, 1, 5], False)
 def test_pole_contributions_equal_their_product_of_form(factors, degrees, residues_only):
     # symbols, sums, differences, scaled symbols, rationals and zero, alone
     # or mixed; the distinct degrees make proper and improper numerators.
@@ -938,26 +963,28 @@ def test_batch_enumerates_a_shared_denominator_once(monkeypatch):
     # the proper_symbolic batch: w_l * x^l / ((x-a)^5 (x-b)^7 (x-c)^11), l = 0..22
     factors = ((a, 5), (b, 7), (c, 11))
     terms = [(Symbol(f"w{l}"), RationalFunctionSpec(l, factors)) for l in range(23)]
-    calls = []
+    calls, taken = [], []
     real = core.compositions
-    monkeypatch.setattr(core, "compositions", lambda m, k: calls.append((m, k)) or real(m, k))
+    monkeypatch.setattr(
+        core, "compositions", lambda m, k: calls.append((m, k)) or _counted(real(m, k), taken)
+    )
     d = decompose_batch(terms)
-    # one enumeration per (pole, order): the compositions of m_i - order
-    per_key = [(m_i - order, 3) for m_i in (5, 7, 11) for order in range(1, m_i + 1)]
-    assert calls == per_key
+    # one series per pole, [t^r] for r < m_i over the 2 other differences,
+    # serving every order and degree: 15 + 28 + 66 tuples
+    per_pole = [(r, 2) for m_i in (5, 7, 11) for r in range(m_i)]
+    assert calls == per_pole and len(taken) == 109
     # five members in each of two factor orders, with equal degrees across
-    # the orders, or one member: still one enumeration per (pole, order)
+    # the orders, or one member: still one series per pole
     mixed = terms[:5] + [(Symbol(f"v{l}"), RationalFunctionSpec(l, factors[::-1]))
                          for l in range(5)]
-    calls.clear()
-    d_mixed = decompose_batch(mixed)
-    assert calls == per_key
-    calls.clear()
-    decompose_batch(terms[:1])
-    assert calls == per_key
+    for batch in (mixed, terms[:1]):
+        calls.clear()
+        taken.clear()
+        decompose_batch(batch)
+        assert calls == per_pole and len(taken) == 109
     monkeypatch.setattr(core, "compositions", real)
     assert d == _batch_by_decompose(terms)
-    assert d_mixed == _batch_by_decompose(mixed)
+    assert decompose_batch(mixed) == _batch_by_decompose(mixed)
     # each member keeps its poles in its own factor order
     assert decompose_batch(mixed[5:]).roots == (c, b, a)
 
@@ -1054,17 +1081,19 @@ def test_symbol_root_quotient_is_decomposed_without_make_sum(monkeypatch):
 def test_residues_enumerate_what_residue_cost_counts(monkeypatch, factors):
     # the residue form takes sum_i C(m_i + n - 2, n - 1) compositions, the
     # count its cost model assumes, for any number of degrees; the full
-    # pole formula takes sum_i C(m_i - 1 + n, n)
+    # pole formula takes the same series, as every order shares it
     spec = spec_of(0, *factors)
     n = len(factors)
     taken = []
     real = core.compositions
     monkeypatch.setattr(core, "compositions", lambda m, k: _counted(real(m, k), taken))
-    list(core._pole_contributions(spec, range(30, 90), residues_only=True))
+    residues = list(core._pole_contributions(spec, range(30, 90), residues_only=True))
     assert len(taken) == sum(binomial(m_i + n - 2, n - 1) for m_i in spec.multiplicities)
+    assert {order for _, _, order, _ in residues} == {1}
+    series = list(taken)
     taken.clear()
     list(core._pole_contributions(spec, (0, 7, 50)))
-    assert len(taken) == sum(binomial(m_i - 1 + n, n) for m_i in spec.multiplicities)
+    assert taken == series
 
 
 @pytest.mark.parametrize("terms", [

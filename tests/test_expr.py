@@ -28,7 +28,7 @@ from partfrac import (
     symbols,
     symbols_in,
 )
-from partfrac.expr import _evaluator, _make_sum
+from partfrac.expr import _evaluator, _make_sum, _random_prime
 
 a, b, c = symbols("a b c")
 
@@ -640,3 +640,36 @@ def test_two_bindings_never_share_memo_entries():
     one, two = _evaluator({"a": 3, "b": 1}), _evaluator({"a": 5, "b": 2})
     assert one(e) == 8 and two(e) == Fraction(49, 3)
     assert one(e) == 8 and one((a + b) ** 2) == 16 and two((a + b) ** 2) == 49
+
+
+# --- the primes of modular checks -------------------------------------------------
+
+# The primes that random.Random(seed) draws for seeds 0..19.  A change to the
+# search must keep every one: each modular check, and so each counterexample,
+# follows from its prime.
+PINNED_PRIMES = [
+    4082473410405074899,
+    2596871869076782069,
+    2728203307296892609,
+    2907311992619572049,
+    3704560884684531163,
+    3483875223180573803,
+    2677404662200243433,
+    4126644998581914947,
+    4014066235267966291,
+    3537783113282313977,
+    2456115104081998061,
+    4389551810821806143,
+    3546363268668683999,
+    3646726173730169317,
+    3444630867114913613,
+    3269594736408271879,
+    4469750179914629573,
+    4215855692866698509,
+    2872229448351440867,
+    2505315977841352309,
+]
+
+
+def test_random_prime_is_pinned_per_seed():
+    assert [_random_prime(random.Random(s)) for s in range(20)] == PINNED_PRIMES

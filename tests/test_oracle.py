@@ -317,6 +317,21 @@ def test_counterexample_names_the_prime():
         assert type(v) is int and 0 <= v < ce.modulus
 
 
+def test_counterexample_text_is_pinned():
+    # the prime, the bindings, x and both sides all follow from the seed
+    spec = RationalFunctionSpec(5, ((a, 2), (Constant(Fraction(1, 3)), 1), (b + c, 2)))
+    d = decompose(spec)
+    bad = d._replace(poles=d.poles[:-1] + (_plus_one(d.poles[-1]),))
+    report = check_by_substitution(spec, bad, trials=3, seed=7, points_per_trial=2)
+    assert str(report) == (
+        "substitution check FAILED at x=2687635328174246392 with bindings "
+        "{'a': 222681842206352464, 'b': 3787459155863482163, 'c': 434098205243707435} "
+        "mod p=4126644998581914947: original=2033030441727761649 "
+        "decomposed=3110843287429866746"
+    )
+    assert report.points_checked == 1
+
+
 def test_value_helpers_agree():
     spec = RationalFunctionSpec(2, ((a, 2), (b, 1)))
     d = decompose(spec)

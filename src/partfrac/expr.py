@@ -35,6 +35,7 @@ import random
 import re
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
+from math import gcd, prod
 from operator import is_, itemgetter
 
 from .combinatorics import compositions, multinomial
@@ -445,22 +446,28 @@ def _evaluator(
     return value
 
 
-# Miller-Rabin with these bases decides primality exactly below
-# 318665857834031151167461 (about 3.2 * 10^23), the least strong
-# pseudoprime to all twelve; every candidate here is below 2^63.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The product of the odd primes below 300; one gcd with it does the trial
+# division.  2^(q-1) = 1 mod q holds for an odd q below 341, the least base-2
+# pseudoprime, exactly when q is prime.
+_SMALL_PRIMES = prod(q for q in range(3, 300, 2) if pow(2, q - 1, q) == 1)
+
+# Miller-Rabin with these bases decides primality exactly for every n < 2^64
+# (Sinclair 2011, checked against Feitsma's list of the base-2 strong
+# pseudoprimes below 2^64); a base that is 0 mod n proves nothing and is
+# skipped.  Every candidate here is below 2^63.
+_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def _is_prime(n: int) -> bool:
-    """Whether n > 37 is prime."""
-    if any(not n % q for q in _WITNESSES):
+    """Whether an odd n with 300 < n < 2^64 is prime."""
+    if gcd(n, _SMALL_PRIMES) != 1:
         return False
     d, s = n - 1, 0
     while not d & 1:
         d, s = d >> 1, s + 1
     for a in _WITNESSES:
         y = pow(a, d, n)
-        if y == 1 or y == n - 1:
+        if y == 1 or y == n - 1 or not a % n:
             continue
         for _ in range(s - 1):
             y = y * y % n

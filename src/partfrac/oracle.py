@@ -188,8 +188,12 @@ def _decomposition_value(
     total = 0
     for degree, coeff in monomials:
         total += coeff * pow(x, degree, p)
+    inverses = {}  # 1 / (x - root), one inversion per distinct root
     for root, order, coeff in poles:
-        total += coeff * pow(x - root, -order, p)
+        inverse = inverses.get(root)
+        if inverse is None:
+            inverse = inverses[root] = pow(x - root, -1, p)
+        total += coeff * pow(inverse, order, p)
     return total % p if p else total
 
 

@@ -21,6 +21,9 @@ from partfrac import (
     symbols,
 )
 from helpers import distinct_rationals, random_rational_spec
+from partfrac import oracle
+from partfrac.expr import _evaluator
+from partfrac.oracle import _decomposition_value, _instantiate, _spec_value
 
 a, b, c = symbols("a b c")
 
@@ -330,6 +333,25 @@ def test_counterexample_text_is_pinned():
         "decomposed=3110843287429866746"
     )
     assert report.points_checked == 1
+
+
+def test_decomposition_value_inverts_each_root_once(monkeypatch):
+    spec = RationalFunctionSpec(4, ((a, 3), (b, 2), (c, 1)))
+    d = decompose(spec)
+    assert len(d.poles) == 6
+    p = (1 << 61) - 1
+    terms = _instantiate(d, _evaluator({"a": 3, "b": 5, "c": 7}, modulus=p))
+    want = _spec_value(spec, [3, 5, 7], 11, p)
+    raised = []
+    monkeypatch.setattr(oracle, "pow", lambda *args: raised.append(args) or pow(*args), raising=False)
+    assert _decomposition_value(*terms, 11, p) == want
+    assert len([args for args in raised if args[1] < 0]) == 3
+    # the exact path keeps Fractions
+    monkeypatch.undo()
+    bind = {"a": Fraction(1, 2), "b": 3, "c": Fraction(-7, 5)}
+    x = Fraction(11, 3)
+    got = _decomposition_value(*_instantiate(d, _evaluator(bind)), x)
+    assert type(got) is Fraction and got == rational_function_value(spec, bind, x)
 
 
 def test_value_helpers_agree():

@@ -254,6 +254,13 @@ def check_by_substitution(
     evaluation first meets it; one memo per binding keeps every power
     raised, and no value grows past p.
 
+    One trial costs about 10 modular exponentiations for its prime (7
+    Miller-Rabin bases, and one more per composite candidate that no prime
+    below 300 divides; the 20 primes of seeds 0-19 take 196), one
+    evaluation of each term with one ``pow`` per distinct Power node, and
+    per point one ``pow`` per term plus one modular inversion per distinct
+    root.
+
     A disagreement is a real counterexample.  Agreement is a proof up to
     chance: clear the denominators of the difference of the two sides to a
     polynomial of degree D in the symbols and x.  If it is not zero, a

@@ -343,7 +343,9 @@ def test_decomposition_value_inverts_each_root_once(monkeypatch):
     terms = _instantiate(d, _evaluator({"a": 3, "b": 5, "c": 7}, modulus=p))
     want = _spec_value(spec, [3, 5, 7], 11, p)
     raised = []
-    monkeypatch.setattr(oracle, "pow", lambda *args: raised.append(args) or pow(*args), raising=False)
+    monkeypatch.setattr(
+        oracle, "pow", lambda *args: raised.append(args) or pow(*args), raising=False
+    )
     assert _decomposition_value(*terms, 11, p) == want
     assert len([args for args in raised if args[1] < 0]) == 3
     # the exact path keeps Fractions
